@@ -95,25 +95,6 @@ class _JoinConfig:
         self.counter_name = counter_name
         self.qval = getattr(tokenizer, 'qval', None)
         self.keep_string = sim_type == 'EDIT_DISTANCE'
-        self.full_prefix = mode == 'overlap_candidates'
-
-
-def _prof_mark():
-    """Env-gated (SSJ_STAGE_PROF=1) sub-stage wall profiler for the join's
-    driver-blocking points; prints ``SSJPROF <tag> <sec>`` to stderr."""
-    import os as _os
-    import sys as _sys
-    import time as _time
-    if not _os.environ.get('SSJ_STAGE_PROF'):
-        return lambda tag: None
-    state = {'t': _time.time()}
-
-    def mark(tag):
-        now = _time.time()
-        print(f'SSJPROF {tag} {now - state["t"]:.2f}', file=_sys.stderr,
-              flush=True)
-        state['t'] = now
-    return mark
 
 
 def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
@@ -137,7 +118,6 @@ def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
             return res
 
     l_ds, r_ds = _to_dataset(l_ds), _to_dataset(r_ds)
-    prof = _prof_mark()
 
     def _tokenized(ds, key_attr, join_attr):
         tok = ds.select_columns(list(dict.fromkeys([key_attr, join_attr]))) \
@@ -159,7 +139,6 @@ def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
         tok_r = tok_l  # tokenize once; postings are emitted per side below
     else:
         tok_r = _tokenized(r_ds, r_key_attr, r_join_attr)
-    prof('tokenize')
 
     import os as _os
     if cfg.mode == 'join' and (
@@ -207,19 +186,20 @@ def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
         ordering_ref = ray.put(lut)
         import pyarrow.compute as _pc
         tot_tokens = int(_pc.sum(freq['count']).as_py() or 0)
-    prof('vocab_ordering')
     heavy_ref = ray.put(heavy) if heavy else None
 
     def ranked(tok_ds):
-        stage = RankPrefixStage(ordering_ref,
-                                'OVERLAP_COEFFICIENT' if cfg.full_prefix else cfg.sim_type,
+        # overlap_candidates posts every token: OVERLAP_COEFFICIENT's
+        # prefix is the whole token list
+        full = cfg.mode == 'overlap_candidates'
+        prefix_type = 'OVERLAP_COEFFICIENT' if full else cfg.sim_type
+        stage = RankPrefixStage(ordering_ref, prefix_type,
                                 cfg.threshold, cfg.qval,
                                 keep_string=cfg.keep_string)
         return tok_ds.map_batches(stage, batch_format='pyarrow')
 
     # Self-relation joins ship each record's postings ONCE and let every
     # class act as both sides in the bucket kernel — halves the one shuffle.
-    # (The row-wise position_candidates path still needs two-sided postings.)
     single_side = same_relation and cfg.mode != 'position_candidates'
 
     # Adapt bucket count to the input: each bucket group pays a fixed kernel
@@ -236,24 +216,6 @@ def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
         # re-attach (stages/slimjoin.py) — candidate-generation shuffle
         # volume drops from O(n·p) to O(p) per record
         from ..stages.slimjoin import slim_match_pairs
-        # distributed OVERLAP counting route (the scale twin of the local
-        # counting kernel, VERDICT r4 #3) — OPT-IN (SSJ_DIST_OVERLAP_COUNT
-        # =1): exact counts need full-token postings and an UNPRUNED
-        # enumeration (provably bounded only when no token is heavy — max
-        # df < salt_df_threshold implies incidence ≤ salt_df_threshold ×
-        # Σ token occurrences).  Measured at 150k×150k o≥3 the ~3× larger
-        # pair-emission exchange cancels the saved verify intersections
-        # (9.7 s vs 9.4 s, identical pairs), so the default stays with the
-        # eligibility-pruned candgen; the counting WINS live in the local
-        # fast path, which covers the latency-sensitive sizes.
-        if (_os.environ.get('SSJ_DIST_OVERLAP_COUNT') == '1'
-                and cfg.sim_type == 'OVERLAP' and not heavy
-                and rows_est > 0 and tot_tokens > 0
-                and float(cfg.threshold)
-                / (float(tot_tokens) / float(rows_est))
-                <= float(_os.environ.get('SSJ_OVERLAP_COUNT_REL', '0.8'))):
-            cfg.count_join = True
-            cfg.full_prefix = True
         # Gate hint = estimated bytes of the broadcast signature table
         # (_TsigBroadcast), NOT the tokenized dataset: rank arrays are
         # int32 (4 B/token occurrence, strings only for EDIT_DISTANCE whose
@@ -289,8 +251,6 @@ def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
 
     pair_fn = PairGenVerify(cfg.sim_type, cfg.threshold, cfg.comp_op,
                             qval=cfg.qval, mode=cfg.mode,
-                            out_sim_score=True, self_join=cfg.self_join,
-                            counter_name=cfg.counter_name,
                             same_relation=single_side)
     # pyarrow group format: rank arrays reach the kernel as zero-copy slices
     # of the block's flat values buffer instead of per-row boxed objects

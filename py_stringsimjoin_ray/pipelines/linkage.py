@@ -341,10 +341,6 @@ def _record_linkage_impl(repos_path, checkpoint_dir, threshold, tokenizer,
         else:
             matches = matches.materialize()
     counters['num_matches'] = matches.count()
-    import os as _os
-    if _os.environ.get('SSJ_STAGE_PROF'):
-        import sys as _sys
-        print(matches.stats(), file=_sys.stderr, flush=True)
     _mark('matches')
 
     # ---------------- stage 3: clusters ------------------------------

@@ -285,47 +285,33 @@ def apply_matcher(candset, candset_l_key_attr, candset_r_key_attr,
     if lmode == 'broadcast' and rmode == 'broadcast':
         l_ref, r_ref = ray.put(lside), ray.put(rside)
 
-        class ScoreBatch:
-            """Actor-pool stage: the broadcast side frames deserialize ONCE
-            per actor in __init__ instead of once per task.  (At a 6.3M-pair
-            candset over 200k-row tables the wall is dominated by the
-            per-pair ``sim_function`` calls — the reference's arbitrary-
-            callable contract — so this mainly caps deserialization churn;
-            the bucketed beyond-gate regime measured FASTER there, 4.4 s vs
-            8 s, and is always available via SSJ_ATTACH_FORCE_DIST.)"""
-
-            def __init__(self):
-                self.lt = ray.get(l_ref)
-                self.rt = ray.get(r_ref)
-
-            def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-                lt, rt = self.lt, self.rt
-                # one vectorized positional gather per side instead of a
-                # pandas label lookup per pair
-                li = lt.index.get_indexer(batch[candset_l_key_attr])
-                ri = rt.index.get_indexer(batch[candset_r_key_attr])
-                if (li < 0).any() or (ri < 0).any():
-                    bad = (batch[candset_l_key_attr][li < 0].tolist()
-                           + batch[candset_r_key_attr][ri < 0].tolist())
-                    raise KeyError(f'candset keys not present in the input '
-                                   f'tables: {bad[:5]}')
-                lv_all = lt[l_match_attr].to_numpy()[li]
-                rv_all = rt[r_match_attr].to_numpy()[ri]
-                scores, keep = _score_mask(lv_all, rv_all, tokenizer,
-                                           sim_function, comp_fn, threshold,
-                                           allow_missing)
-                return emit(batch, keep, scores,
-                            {a: lt[a].to_numpy()[li]
-                             for a in (l_out_attrs or [])},
-                            {a: rt[a].to_numpy()[ri]
-                             for a in (r_out_attrs or [])})
-        ScoreBatch.__name__ = 'apply_matcher'
-        try:
-            ncpu = int(ray.cluster_resources().get('CPU', 8))
-        except Exception:  # pragma: no cover
-            ncpu = 8
-        scored = cand_ds.map_batches(ScoreBatch, batch_format='pandas',
-                                     concurrency=(1, ncpu))
+        def score_batch(batch: pd.DataFrame) -> pd.DataFrame:
+            # a plain task fetching the side frames once per block
+            # (batch_size=None): an actor pool costs seconds of start-up
+            # and keeps its CPU until the driver garbage-collects it
+            lt, rt = ray.get(l_ref), ray.get(r_ref)
+            # one vectorized positional gather per side instead of a
+            # pandas label lookup per pair
+            li = lt.index.get_indexer(batch[candset_l_key_attr])
+            ri = rt.index.get_indexer(batch[candset_r_key_attr])
+            if (li < 0).any() or (ri < 0).any():
+                bad = (batch[candset_l_key_attr][li < 0].tolist()
+                       + batch[candset_r_key_attr][ri < 0].tolist())
+                raise KeyError(f'candset keys not present in the input '
+                               f'tables: {bad[:5]}')
+            lv_all = lt[l_match_attr].to_numpy()[li]
+            rv_all = rt[r_match_attr].to_numpy()[ri]
+            scores, keep = _score_mask(lv_all, rv_all, tokenizer,
+                                       sim_function, comp_fn, threshold,
+                                       allow_missing)
+            return emit(batch, keep, scores,
+                        {a: lt[a].to_numpy()[li]
+                         for a in (l_out_attrs or [])},
+                        {a: rt[a].to_numpy()[ri]
+                         for a in (r_out_attrs or [])})
+        score_batch.__name__ = 'apply_matcher'
+        scored = cand_ds.map_batches(score_batch, batch_format='pandas',
+                                     batch_size=None)
     else:
         # beyond-gate regime: bucketed hash-shuffle attach of the side
         # projections onto the candset stream (stages/attach.py); missing

@@ -92,8 +92,13 @@ def _grouped(tbl: pa.Table, keys: list, agg_spec: list) -> pa.Table:
                          'count_all' if col is None else func))
     res = tbl.group_by(keys, use_threads=False).aggregate(plan)
     # pyarrow group_by output layout: key columns first (in ``keys`` order),
-    # then one aggregate column per plan entry, in plan order
-    assert res.num_columns == len(keys) + len(plan)
+    # then one aggregate column per plan entry, in plan order.  Checked by
+    # name (not assert, which ``python -O`` strips): a layout change must
+    # fail loudly rather than swap keys and aggregate values
+    if (res.num_columns != len(keys) + len(plan)
+            or res.column_names[:len(keys)] != list(keys)):
+        raise RuntimeError(f'unexpected pyarrow group_by layout '
+                           f'{res.column_names} for keys {list(keys)}')
     cols = {k: res.column(i) for i, k in enumerate(keys)}
     for out, col, func in agg_spec:
         src = ('__all__', 'count_all') if col is None else (col, func)

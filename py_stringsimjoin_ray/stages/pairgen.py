@@ -1,23 +1,24 @@
-"""Per-bucket candidate generation + verification.
+"""Per-bucket candidate generation for the ``filter_tables`` candidates
+modes.
 
 Runs inside ``postings.groupby("bucket").map_groups(...)`` — the single
-all-to-all exchange of the join.  Re-expresses the probe loops of
-``/root/reference/py_stringsimjoin/filter/position_filter.py:307-366``
-(position filter), ``filter/prefix_filter.py:293-309`` (prefix filter) and
-``filter/overlap_filter.py:256-267`` (full inverted index) in group-parallel
-form.
+all-to-all exchange of ``Filter.filter_tables``.  Re-expresses the probe
+loops of the reference's ``filter/position_filter.py:307-366`` (position
+filter), ``filter/prefix_filter.py:293-309`` (prefix filter) and
+``filter/overlap_filter.py:256-267`` (full inverted index) in
+group-parallel form.  Joins never come here: ``mode='join'`` runs the
+local fast path (``stages/localjoin.py``) or the slim-postings pipeline
+(``stages/slimjoin.py``).
 
 Cross-bucket pair dedup uses the min-common-token rule: a pair sharing
 several (prefix) tokens is processed ONLY in the group of its smallest-rank
-shared token, so no second shuffle is needed for distinct-pairs.  (The
-reference dedups per probe with an in-memory dict; any dedup rule yields the
-same pair set because verification is exact — SURVEY.md §7.1 step 4.)
+shared token, so no second shuffle is needed for distinct-pairs.
 
 Records with identical token-rank signatures are collapsed into signature
-CLASSES: filtering + verification run once per class pair, and the
-(vectorized) emission expands class pairs into record pairs.  This turns
-workloads dominated by exact duplicates (the common case in dedup corpora)
-from O(|pairs|) python work into O(|distinct signatures|²).
+CLASSES: filtering runs once per class pair, and the (vectorized) emission
+expands class pairs into record pairs.  This turns workloads dominated by
+exact duplicates (the common case in dedup corpora) from O(|pairs|) python
+work into O(|distinct signatures|²).
 """
 
 from __future__ import annotations
@@ -27,17 +28,9 @@ import pandas as pd
 
 from ..core import bounds
 from ..core.comp_ops import COMP_OP_MAP
-from ..core.measures import bag_product_overlap_sorted
 
-_SET_MEASURES = ('JACCARD', 'COSINE', 'DICE')
-
-
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """unique() for an ALREADY-SORTED array — O(n), no re-sort."""
-    if len(a) < 2:
-        return a
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
-
+CANDIDATE_MODES = ('prefix_candidates', 'position_candidates',
+                   'overlap_candidates')
 
 # 63-bit polynomial signature hash base (shared construction with
 # slimjoin.SigStage) and the triangle-enumeration slab bound (~60 B/pair
@@ -63,10 +56,9 @@ class _CT:
     """Column-oriented class tables for the numpy bucket kernel (built by
     ``PairGenVerify._class_tables``)."""
 
-    __slots__ = ('ncls', 'sz', 'plen', 'kh', 's',
+    __slots__ = ('ncls', 'sz', 'plen', 'kh',
                  'rank_off', 'rank_flat',
-                 'pu_off', 'pu_flat', 'pu_pos',
-                 'u_off', 'u_flat', 'u_cnt',
+                 'pu_off', 'pu_flat', 'pu_pos', 'pu_cnt',
                  'lkey_off', 'lkey_flat', 'rkey_off', 'rkey_flat',
                  'hl', 'hr')
 
@@ -129,37 +121,10 @@ def _lev_many(l_strings, r_strings):
     return out
 
 
-class _Class:
-    __slots__ = ('ranks', 'uniq', 'sz', 'plen', 'prefix_uniq', 'prefix_list',
-                 'prefix_set', 's', 'l_keys', 'r_keys', 'kh')
-
-    def __init__(self, ranks, sz, plen, s, kh=-1):
-        self.ranks = ranks
-        self.uniq = None      # unique'd ranks (bag measures); == ranks for sets
-        self.sz = int(sz)
-        self.plen = int(plen)
-        self.prefix_uniq = _sorted_unique(ranks[:plen]) if plen > 0 else ranks[:0]
-        # python-native views for the row-wise min-common-token scan — built
-        # lazily (prepare_scan); the vectorized path never needs them
-        self.prefix_list = None
-        self.prefix_set = None
-        self.s = s
-        # grid-salting role: -1 = pair freely; >= 0 = pair only with classes
-        # of a DIFFERENT kh (off-diagonal salted cell, see PostingsStage)
-        self.kh = int(kh)
-        self.l_keys = []
-        self.r_keys = []
-
-    def prepare_scan(self):
-        self.prefix_list = self.prefix_uniq.tolist()
-        self.prefix_set = frozenset(self.prefix_list)
-
-
 class PairGenVerify:
     """Group function for one shuffle bucket.
 
     mode:
-      'join'                — filter + exact verify, emit (l, r, score)
       'prefix_candidates'   — pairs sharing ≥1 prefix token
       'position_candidates' — reference PositionFilter.filter_tables survivors
       'overlap_candidates'  — full-token postings, overlap count vs comp_op
@@ -167,179 +132,27 @@ class PairGenVerify:
     """
 
     def __init__(self, sim_type: str, threshold, comp_op: str = '>=',
-                 qval=None, mode: str = 'join', out_sim_score: bool = True,
-                 self_join: bool = False, round_score: bool = True,
-                 counter_name: str | None = None,
+                 qval=None, *, mode: str, out_sim_score: bool = True,
                  same_relation: bool = False):
+        if mode not in CANDIDATE_MODES:
+            raise ValueError(f'PairGenVerify mode must be one of '
+                             f'{CANDIDATE_MODES}, got {mode!r}')
         self.__name__ = 'PairGenVerify'  # map_groups wraps plain functions
-        self.counter_name = counter_name
         # same_relation: postings carry ONE copy of each record (side 0);
         # every class doubles as both sides (halves the shuffle for
-        # self-relation joins)
+        # self-relation inputs)
         self.same_relation = same_relation
         self.sim_type = sim_type
         self.threshold = threshold
-        self.comp_op = comp_op
         self.comp_fn = COMP_OP_MAP[comp_op]
         self.qval = qval
         self.mode = mode
         self.out_sim_score = out_sim_score
-        self.self_join = self_join
-        self.round_score = round_score
-        self._apply_size_bounds = (
-            mode == 'join' and sim_type in ('JACCARD', 'COSINE', 'DICE',
-                                            'OVERLAP'))
-        self._apply_position = self._apply_size_bounds
 
-    # -------------------------------------------------------------- helpers
-
-    def _build_classes(self, df):
-        """Collapse postings into signature classes + per-token run lists.
-        Signature identity = (rank-array bytes, sz, string payload);
-        factorized in C via pandas instead of a per-row dict walk.  Accepts a
-        pyarrow Table (zero-copy rank slices, the map_groups path) or a
-        pandas DataFrame (direct calls)."""
-        import pyarrow as pa
-        if isinstance(df, pa.Table):
-            keys = df['key'].to_numpy(zero_copy_only=False)
-            sides = df['side'].to_numpy(zero_copy_only=False)
-            toks = df['tok'].to_numpy(zero_copy_only=False)
-            szs = df['sz'].to_numpy(zero_copy_only=False)
-            plens = df['plen'].to_numpy(zero_copy_only=False)
-            ranks_arr = df['ranks'].combine_chunks()
-            off = ranks_arr.offsets.to_numpy()
-            flat = ranks_arr.values.to_numpy(zero_copy_only=False)
-            itemsize = flat.dtype.itemsize
-            flat_bytes = flat.tobytes()
-            n = len(df)
-            ranks_col = np.empty(n, dtype=object)
-            rb = [flat_bytes[off[i] * itemsize: off[i + 1] * itemsize]
-                  for i in range(n)]
-            for i in range(n):
-                ranks_col[i] = flat[off[i]:off[i + 1]]
-            s_col = (df['s'].to_numpy(zero_copy_only=False)
-                     if 's' in df.column_names else None)
-            khs = (df['kh'].to_numpy(zero_copy_only=False)
-                   if 'kh' in df.column_names
-                   else np.full(n, -1, dtype=np.int16))
-        else:
-            keys = df['key'].to_numpy()
-            sides = df['side'].to_numpy()
-            toks = df['tok'].to_numpy()
-            szs = df['sz'].to_numpy()
-            plens = df['plen'].to_numpy()
-            ranks_col = df['ranks'].to_numpy()
-            s_col = df['s'].to_numpy() if 's' in df.columns else None
-            khs = (df['kh'].to_numpy() if 'kh' in df.columns
-                   else np.full(len(df), -1, dtype=np.int16))
-            rb = [np.asarray(r).tobytes() for r in ranks_col]
-        # kh is part of the class signature: classes must be kh-homogeneous
-        # so the off-diagonal pairing rule (kh_a != kh_b) can act at class
-        # level.  A record visiting a collided bucket under several grids
-        # (different kh per heavy token) fragments into several classes —
-        # membership below is therefore per (side, key, CLASS), and the
-        # min-common-token ownership rule dedups the record pairs that
-        # fragmented class pairs would otherwise emit twice.
-        if s_col is not None:
-            sig = pd.Series(list(zip(rb, szs.tolist(), khs.tolist(), s_col)))
-        else:
-            sig = pd.Series(list(zip(rb, szs.tolist(), khs.tolist())))
-        row_class, _ = pd.factorize(sig, sort=False)
-        # factorize codes are first-appearance-ordered, so np.unique's sorted
-        # codes map back to first occurrence rows positionally
-        _, first_idx = np.unique(row_class, return_index=True)
-        classes = [
-            _Class(np.asarray(ranks_col[i], dtype=np.int64), szs[i], plens[i],
-                   s_col[i] if s_col is not None else None, khs[i])
-            for i in first_idx
-        ]
-        mem = pd.DataFrame({'side': sides, 'key': keys, 'cls': row_class}) \
-            .drop_duplicates(['side', 'key', 'cls'])
-        for s_, k_, c_ in zip(mem['side'].to_numpy(), mem['key'].to_numpy(),
-                              mem['cls'].to_numpy()):
-            (classes[c_].l_keys if s_ == 0 else classes[c_].r_keys).append(k_)
-        if self.same_relation:
-            for c in classes:
-                c.r_keys = c.l_keys
-
-        # token runs: distinct (tok, class, side, kh).  kh is a RUN property,
-        # not a class property: in a bucket hosting several salted grids a
-        # record carries a different grid role per heavy token (and -1 for
-        # unsalted/diagonal visits), so folding kh into the class signature
-        # would fragment key membership.
-        run_df = pd.DataFrame({'tok': toks, 'cls': row_class, 'side': sides,
-                               'kh': khs.astype(np.int64)})
-        run_df = run_df.drop_duplicates()
-        return classes, run_df
-
-    @staticmethod
-    def _common(L: _Class, R: _Class) -> np.ndarray:
-        """Shared prefix tokens in ascending rank order (only computed for
-        pairs that already passed the min-common dedup + size bounds)."""
-        return np.fromiter((x for x in L.prefix_list if x in R.prefix_set),
-                           dtype=np.int64)
-
-    def _size_ok(self, l_sz: int, r_sz: int) -> bool:
-        st, t = self.sim_type, self.threshold
-        return (bounds.size_lower_bound(r_sz, st, t) <= l_sz
-                <= bounds.size_upper_bound(r_sz, st, t))
-
-    def _position_ok(self, L: _Class, R: _Class, shared: np.ndarray) -> bool:
-        """Reference find_candidates accumulation: for the i-th shared prefix
-        token (rank order), require
-        i + min(r_sz - r_pos_i, l_sz - l_pos_i) >= overlap_threshold
-        (``filter/position_filter.py:340-362``)."""
-        T = bounds.overlap_threshold(L.sz, R.sz, self.sim_type, self.threshold,
-                                     self.qval)
-        l_pos = np.searchsorted(L.ranks, shared)
-        r_pos = np.searchsorted(R.ranks, shared)
-        bound = np.minimum(R.sz - r_pos, L.sz - l_pos)
-        return bool(np.all(np.arange(len(shared)) + bound >= T))
-
-    def _verify_score(self, L: _Class, R: _Class):
-        st = self.sim_type
-        if st == 'EDIT_DISTANCE':
-            raise RuntimeError('ED handled separately')
-        if st in _SET_MEASURES or st == 'OVERLAP_COEFFICIENT' or (
-                st == 'OVERLAP' and self.mode == 'join'):
-            o = np.intersect1d(L.uniq, R.uniq, assume_unique=True).size
-            n1 = len(L.uniq)
-            n2 = len(R.uniq)
-            if st == 'JACCARD':
-                score = 1.0 if (n1 == 0 and n2 == 0) else (
-                    0.0 if (n1 == 0 or n2 == 0) else o / (n1 + n2 - o))
-            elif st == 'COSINE':
-                score = 1.0 if (n1 == 0 and n2 == 0) else (
-                    0.0 if (n1 == 0 or n2 == 0) else o / float(np.sqrt(n1 * n2)))
-            elif st == 'DICE':
-                score = 1.0 if (n1 == 0 and n2 == 0) else (
-                    0.0 if (n1 == 0 or n2 == 0) else 2.0 * o / (n1 + n2))
-            elif st == 'OVERLAP_COEFFICIENT':
-                # reference divides by min of the RAW token counts
-                # (``join/overlap_coefficient_join_py.py:299-303``)
-                o = bag_product_overlap_sorted(L.ranks, R.ranks)
-                score = float(o) / float(min(L.sz, R.sz))
-            else:  # OVERLAP join: set semantics forced by the join wrapper
-                score = float(o)
-            if self.round_score and st in _SET_MEASURES:
-                score = round(score, 4)
-            return score
-        if st == 'OVERLAP':  # overlap_candidates mode: bag-product counting
-            return float(bag_product_overlap_sorted(L.ranks, R.ranks))
-        raise ValueError(st)
-
-    # ------------------------------------------------------------- main
-
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        import os as _os
-        if _os.environ.get('SSJ_PAIRGEN_ROWWISE') == '1':
-            return self._call_rowwise(df)
-        return self._call_np(df)
-
-    # ------------------------------------------- numpy bucket kernel (r5)
+    # ------------------------------------------------ numpy bucket kernel
 
     def _class_tables(self, df):
-        """Vectorized class build — no per-row Python (VERDICT r4 #1).
+        """Vectorized class build — no per-row Python.
 
         Collapses the bucket's postings into signature classes using a
         63-bit polynomial hash over (ranks, sz, kh[, s]) — the same
@@ -348,18 +161,18 @@ class PairGenVerify:
 
           rank_off/rank_flat   class rank arrays
           pu_off/pu_flat/pu_pos  unique prefix tokens (full tokens for
-                               full-postings modes) + FIRST-occurrence
+                               'overlap_candidates') + FIRST-occurrence
                                position in the class rank array
-          u_off/u_flat/u_cnt   unique full tokens + bag counts (verify)
+          pu_cnt               bag count of each unique token
+                               ('overlap_candidates' only)
           lkey_off/lkey_flat   side-0 member keys per class (CSR)
           rkey_off/rkey_flat   side-1 member keys (same arrays when
                                ``same_relation``)
 
         Returns ``(ct, run_cls, run_tok, run_pos)`` where the run arrays
         are the distinct (class, token) postings of this bucket with the
-        token's first-occurrence position, or ``(None, ...)`` when token
-        ids exceed the 32-bit pack (fallback to the row-wise path; the
-        engine-wide slim postings make the same assumption)."""
+        token's first-occurrence position.  Token ids must fit the 32-bit
+        pack (the engine-wide slim postings make the same assumption)."""
         import pyarrow as pa
         if isinstance(df, pd.DataFrame):
             cols = ['key', 'side', 'tok', 'sz', 'plen', 'ranks']
@@ -376,7 +189,9 @@ class PairGenVerify:
         khs = (df['kh'].to_numpy(zero_copy_only=False).astype(np.int64)
                if 'kh' in df.column_names else np.full(n, -1, np.int64))
         if len(toks) and int(toks.max()) >= 2 ** 32:
-            return None, None, None, None
+            raise ValueError(f'token rank {int(toks.max())} does not fit '
+                             f'the 32-bit token ids of the candidates '
+                             f'kernel (limit 2**32)')
         ranks_arr = df['ranks'].combine_chunks()
         off = ranks_arr.offsets.to_numpy().astype(np.int64)
         flat = (ranks_arr.values.to_numpy(zero_copy_only=False)
@@ -411,8 +226,6 @@ class PairGenVerify:
         ct.sz = szs[first_idx]
         ct.plen = plens[first_idx]
         ct.kh = khs[first_idx]
-        ct.s = (df['s'].to_numpy(zero_copy_only=False)[first_idx]
-                if 's' in df.column_names else None)
 
         # ---- class rank arrays (CSR gather of each class's first row)
         src_off = off[first_idx]
@@ -425,8 +238,7 @@ class PairGenVerify:
         # ---- unique prefix tokens + first-occurrence positions (bags may
         # repeat a token inside the prefix; sorted order makes the dedup a
         # consecutive-run mask)
-        full = self.mode == 'overlap_candidates' \
-            or self.sim_type == 'OVERLAP_COEFFICIENT'
+        full = self.mode == 'overlap_candidates'
         pl = src_len if full else np.minimum(ct.plen, src_len)
         seg = np.concatenate(([0], np.cumsum(pl)))
         ppos = (np.arange(seg[-1], dtype=np.int64)
@@ -444,32 +256,11 @@ class PairGenVerify:
         ct.pu_off = np.concatenate(
             ([0], np.cumsum(np.bincount(cls_of, minlength=ncls))))
 
-        # ---- unique full tokens + bag counts (verify-side)
-        need_u = self.mode == 'overlap_candidates' or (
-            self.mode == 'join' and self.sim_type != 'EDIT_DISTANCE')
-        if need_u:
-            if full:
-                kept_idx = np.flatnonzero(keep)
-                ends = np.concatenate((kept_idx[1:], [len(pf)]))
-                ct.u_flat, ct.u_off = ct.pu_flat, ct.pu_off
-                ct.u_cnt = ends - kept_idx
-            else:
-                f_first = gpos == 0
-                ne2 = np.empty(len(ct.rank_flat), bool)
-                if len(ct.rank_flat):
-                    ne2[0] = True
-                    ne2[1:] = ct.rank_flat[1:] != ct.rank_flat[:-1]
-                keep2 = f_first | ne2
-                ct.u_flat = ct.rank_flat[keep2]
-                kept2 = np.flatnonzero(keep2)
-                ends2 = np.concatenate((kept2[1:], [len(ct.rank_flat)]))
-                ct.u_cnt = ends2 - kept2
-                cls2 = np.repeat(np.arange(ncls, dtype=np.int64),
-                                 src_len)[keep2]
-                ct.u_off = np.concatenate(
-                    ([0], np.cumsum(np.bincount(cls2, minlength=ncls))))
+        if full:  # bag counts for overlap counting
+            kept_idx = np.flatnonzero(keep)
+            ct.pu_cnt = np.diff(np.concatenate((kept_idx, [len(pf)])))
         else:
-            ct.u_flat = ct.u_off = ct.u_cnt = None
+            ct.pu_cnt = None
 
         # ---- memberships: distinct (side, key, class) -> per-side CSR
         kcodes, _lv = pd.factorize(keys, sort=False)
@@ -539,19 +330,16 @@ class PairGenVerify:
         hit = keyA[loc] == keyB
         return pidB[hit], gA[loc[hit]], gB[hit]
 
-    def _call_np(self, df) -> pd.DataFrame:
-        """Vectorized per-bucket kernel for ALL modes — the lexsort/
-        triangle candidate enumeration of ``slimjoin._np_candidates``
-        ported to the filter_tables candidates modes (VERDICT r4 #1),
-        replacing the per-bucket DuckDB (bucket, tok) self-join:
+    def __call__(self, df) -> pd.DataFrame:
+        """Vectorized per-bucket kernel — the lexsort/triangle candidate
+        enumeration of ``slimjoin._np_candidates`` ported to the
+        filter_tables candidates modes:
 
         1. class build (``_class_tables``), fully vectorized;
         2. per-token-group triangle enumeration over the distinct
-           (class, token) runs, sz-ascending, with mode-dependent
-           positional eligibility pruning of the preceding side
-           (sound only where the emitted pair set is overlap-bounded:
-           'join' set measures and 'position_candidates'; the pure
-           candidates modes enumerate everything — their output IS the
+           (class, token) runs, sz-ascending, with positional eligibility
+           pruning of the preceding side for 'position_candidates' (the
+           other modes enumerate everything — their output IS the
            candidate set, so the volume is irreducible);
         3. per-pair dedup with the bucket-min shared group token
            ``gmin``, then the min-common-token ownership rule (no shared
@@ -559,29 +347,20 @@ class PairGenVerify:
            intersection), reproducing the reference's exact-once pair
            accounting (``filter/overlap_filter.py:256-267`` /
            ``filter/position_filter.py:307-366`` semantics);
-        4. mode verify: size-bound LUTs + the reference position-filter
+        4. mode filter: size-bound LUTs + the reference position-filter
            accumulation (``filter/position_filter.py:340-362``) for
            'position_candidates'; bag-product overlap counting for
-           'overlap_candidates'; exact set verification for 'join';
-           banded Levenshtein for EDIT_DISTANCE;
+           'overlap_candidates';
         5. vectorized CSR membership expansion to record pairs.
         """
-        ed = self.sim_type == 'EDIT_DISTANCE'
         mode = self.mode
         empty = self._empty_frame()
         if len(df) == 0:
             return empty
         ct, run_cls, run_tok, run_pos = self._class_tables(df)
-        if ct is None:
-            return self._call_rowwise(df)
         if ct.ncls == 0 or len(run_cls) == 0:
             return empty
         sz = ct.sz
-        from .slimjoin import _cand_luts
-        max_sz = int(sz.max())
-        size_lo, size_hi, ovt_sum, ovt_min = _cand_luts(
-            self.sim_type, self.threshold, max_sz)
-        use_size = mode in ('join', 'position_candidates')
 
         # ---- runs sorted into (token, size, class) groups
         o = np.lexsort((run_cls, sz[run_cls], run_tok))
@@ -594,8 +373,12 @@ class PairGenVerify:
 
         # positional eligibility of the preceding (size-smaller) side:
         # rem >= ovt(sz, sz).  Sound only for overlap-bounded outputs.
-        if mode == 'position_candidates' or (mode == 'join' and not ed):
-            if ed:  # position_candidates with EDIT_DISTANCE
+        size_lo = size_hi = None
+        if mode == 'position_candidates':
+            from .slimjoin import _cand_luts
+            size_lo, size_hi, ovt_sum, ovt_min = _cand_luts(
+                self.sim_type, self.threshold, int(sz.max()))
+            if self.sim_type == 'EDIT_DISTANCE':
                 elig = g_pos <= self.qval * self.threshold
             elif ovt_sum is not None:
                 elig = rem >= ovt_sum[2 * g_sz]
@@ -695,72 +478,24 @@ class PairGenVerify:
         if len(la) == 0:
             return empty
 
-        # ---- size bounds (position_candidates parity; cheap LUT for join)
-        if use_size:
-            szl, szr = sz[la], sz[rb]
-            keep = (szl >= size_lo[szr]) & (szl <= size_hi[szr])
-            la, rb = la[keep], rb[keep]
-            if len(la) == 0:
-                return empty
-
-        l_cnt = np.diff(ct.lkey_off)
-        r_cnt = np.diff(ct.rkey_off)
-        checked = int(np.sum(l_cnt[la] * r_cnt[rb]))
-
-        # ---- mode verification
+        # ---- mode filter
         scores = None
         if mode == 'position_candidates':
-            la, rb = self._position_filter_np(ct, la, rb)
-        elif ed and mode != 'prefix_candidates':
-            s_len = np.fromiter((len(x) for x in ct.s), np.int64, ct.ncls)
-            keep = np.abs(s_len[la] - s_len[rb]) <= self.threshold
-            la, rb = la[keep], rb[keep]
-            if len(la):
-                dists = _lev_many(ct.s[la].tolist(),
-                                  ct.s[rb].tolist()).astype(np.float64)
-                keep = self.comp_fn(dists, self.threshold)
-                la, rb, scores = la[keep], rb[keep], dists[keep]
-        elif mode in ('join', 'overlap_candidates'):
+            szl, szr = sz[la], sz[rb]
+            keep = (szl >= size_lo[szr]) & (szl <= size_hi[szr])
+            la, rb = self._position_filter_np(ct, la[keep], rb[keep])
+        elif mode == 'overlap_candidates':
+            # bag-product counting (OverlapFilter semantics)
             hpid, ga, gb = self._intersect_pairs(
-                ct.u_flat, ct.u_off, la, np.diff(ct.u_off)[la],
-                rb, np.diff(ct.u_off)[rb])
-            st = self.sim_type
-            if st == 'OVERLAP' and mode == 'overlap_candidates':
-                # bag-product counting (OverlapFilter semantics)
-                of = np.bincount(hpid,
-                                 weights=(ct.u_cnt[ga] * ct.u_cnt[gb]),
+                ct.pu_flat, ct.pu_off, la, np.diff(ct.pu_off)[la],
+                rb, np.diff(ct.pu_off)[rb])
+            scores = np.bincount(hpid,
+                                 weights=(ct.pu_cnt[ga] * ct.pu_cnt[gb]),
                                  minlength=len(la))
-                scores = of
-            elif st == 'OVERLAP_COEFFICIENT':
-                of = np.bincount(hpid,
-                                 weights=(ct.u_cnt[ga] * ct.u_cnt[gb]),
-                                 minlength=len(la))
-                scores = of / np.minimum(sz[la], sz[rb])
-            else:
-                of = np.bincount(hpid, minlength=len(la)) \
-                    .astype(np.float64)
-                n_u = np.diff(ct.u_off).astype(np.float64)
-                n1, n2 = n_u[la], n_u[rb]
-                if st == 'JACCARD':
-                    scores = of / (n1 + n2 - of)
-                elif st == 'COSINE':
-                    scores = of / np.sqrt(n1 * n2)
-                elif st == 'DICE':
-                    scores = 2.0 * of / (n1 + n2)
-                else:  # OVERLAP join: set semantics
-                    scores = of
-                if self.round_score and st in _SET_MEASURES:
-                    scores = np.round(scores, 4)
             keep = self.comp_fn(scores, self.threshold)
             la, rb, scores = la[keep], rb[keep], scores[keep]
         # prefix_candidates: every owned pair passes, no score column
 
-        if self.counter_name and checked:
-            try:
-                import ray as _ray
-                _ray.get_actor(self.counter_name).add.remote(checked)
-            except ValueError:
-                pass
         if len(la) == 0:
             return empty
         return self._emit_csr(ct, la, rb, scores)
@@ -812,175 +547,17 @@ class PairGenVerify:
         nr_p = nr[pair_idx]
         out_l = ct.lkey_flat[ct.lkey_off[la][pair_idx] + d // nr_p]
         out_r = ct.rkey_flat[ct.rkey_off[rb][pair_idx] + d % nr_p]
-        out_s = scores[pair_idx] if scores is not None else None
-        if self.self_join:
-            keep = out_l < out_r
-            out_l, out_r = out_l[keep], out_r[keep]
-            if out_s is not None:
-                out_s = out_s[keep]
         cols = {'l_key': out_l, 'r_key': out_r}
-        if self.out_sim_score and self.mode not in ('prefix_candidates',
-                                                    'position_candidates'):
-            cols['_sim_score'] = (out_s if out_s is not None
-                                  else np.full(len(out_l), np.nan))
+        if self._scored():
+            cols['_sim_score'] = scores[pair_idx]
         return pd.DataFrame(cols)
 
+    def _scored(self) -> bool:
+        return self.out_sim_score and self.mode == 'overlap_candidates'
 
     def _empty_frame(self) -> pd.DataFrame:
         cols = {'l_key': np.array([], dtype=object),
                 'r_key': np.array([], dtype=object)}
-        if self.out_sim_score and self.mode not in ('prefix_candidates',
-                                                    'position_candidates'):
+        if self._scored():
             cols['_sim_score'] = np.array([], dtype=np.float64)
         return pd.DataFrame(cols)
-
-    def _emit_many(self, classes, la, rb, scores, l_cnt, r_cnt) -> pd.DataFrame:
-        """Expand surviving class pairs into record pairs, fully vectorized:
-        each pair (a,b) contributes the cross product of a's l_keys with b's
-        r_keys."""
-        l_flat = np.array([k for c in classes for k in c.l_keys], dtype=object)
-        r_flat = np.array([k for c in classes for k in c.r_keys], dtype=object)
-        l_off = np.concatenate(([0], np.cumsum(l_cnt)))[:-1]
-        r_off = np.concatenate(([0], np.cumsum(r_cnt)))[:-1]
-        nl, nr = l_cnt[la], r_cnt[rb]
-        tot = nl * nr
-        total = int(tot.sum())
-        pair_idx = np.repeat(np.arange(len(la)), tot)
-        off = np.arange(total, dtype=np.int64) - np.repeat(
-            np.concatenate(([0], np.cumsum(tot)))[:-1], tot)
-        nr_p = nr[pair_idx]
-        out_l = l_flat[l_off[la][pair_idx] + off // nr_p]
-        out_r = r_flat[r_off[rb][pair_idx] + off % nr_p]
-        out_s = scores[pair_idx] if scores is not None else None
-        if self.self_join:
-            keep = out_l < out_r
-            out_l, out_r = out_l[keep], out_r[keep]
-            if out_s is not None:
-                out_s = out_s[keep]
-        cols = {'l_key': out_l, 'r_key': out_r}
-        if self.out_sim_score and self.mode not in ('prefix_candidates',
-                                                    'position_candidates'):
-            cols['_sim_score'] = (out_s if out_s is not None
-                                  else np.full(len(out_l), np.nan))
-        return pd.DataFrame(cols)
-
-    def _call_rowwise(self, df: pd.DataFrame) -> pd.DataFrame:
-        ed = self.sim_type == 'EDIT_DISTANCE'
-        checked_record_pairs = 0
-        classes, run_df = self._build_classes(df)
-        full_postings = self.mode == 'overlap_candidates' or \
-            self.sim_type == 'OVERLAP_COEFFICIENT'
-        for c in classes:
-            c.uniq = _sorted_unique(c.ranks)
-            if full_postings:
-                # full-token postings: the dedup scan runs over ALL tokens
-                c.prefix_list = c.uniq.tolist()
-                c.prefix_set = frozenset(c.prefix_list)
-            else:
-                c.prepare_scan()
-
-        # class pair -> score bookkeeping
-        out_l, out_r, out_s = [], [], []
-        ed_pending = []  # (L, R) class pairs awaiting batched levenshtein
-
-        grouped = run_df.groupby('tok', sort=False)
-        for tok, sub in grouped:
-            lmask = sub['side'].to_numpy() == 0
-            lcls = sub['cls'].to_numpy()[lmask]
-            lkh = sub['kh'].to_numpy()[lmask]
-            if self.same_relation:
-                # single-side postings: every class acts as both join sides
-                rcls, rkh = lcls, lkh
-            else:
-                rcls = sub['cls'].to_numpy()[~lmask]
-                rkh = sub['kh'].to_numpy()[~lmask]
-            if len(lcls) == 0 or len(rcls) == 0:
-                continue
-            for a, kha in zip(lcls, lkh):
-                L = classes[a]
-                if not L.l_keys:
-                    continue
-                for b, khb in zip(rcls, rkh):
-                    R = classes[b]
-                    if not R.r_keys:
-                        continue
-                    if kha >= 0 and khb >= 0 and kha == khb:
-                        continue  # off-diagonal salted cell, same hash group
-                    # min-common-token dedup: walk the (ascending) smaller
-                    # prefix; the first element present in the other side's
-                    # set is the minimum shared token — early-exits long
-                    # before an intersect would finish
-                    if len(L.prefix_list) <= len(R.prefix_list):
-                        walk, member = L.prefix_list, R.prefix_set
-                    else:
-                        walk, member = R.prefix_list, L.prefix_set
-                    first = -1
-                    for x in walk:
-                        if x in member:
-                            first = x
-                            break
-                    if first != tok:
-                        continue
-                    checked_record_pairs += len(L.l_keys) * len(R.r_keys)
-                    if self.mode == 'prefix_candidates':
-                        self._emit(L, R, None, out_l, out_r, out_s)
-                        continue
-                    if self.mode == 'position_candidates':
-                        if not self._size_ok(L.sz, R.sz):
-                            continue
-                        if not self._position_ok(L, R, self._common(L, R)):
-                            continue
-                        self._emit(L, R, None, out_l, out_r, out_s)
-                        continue
-                    if ed:
-                        if abs(len(L.s) - len(R.s)) > self.threshold:
-                            continue
-                        ed_pending.append((L, R))
-                        continue
-                    if self._apply_size_bounds and not self._size_ok(L.sz, R.sz):
-                        continue
-                    if self._apply_position and not self._position_ok(
-                            L, R, self._common(L, R)):
-                        continue
-                    score = self._verify_score(L, R)
-                    if self.comp_fn(score, self.threshold):
-                        self._emit(L, R, score, out_l, out_r, out_s)
-
-        if ed_pending:
-            dists = _lev_many([p[0].s for p in ed_pending],
-                              [p[1].s for p in ed_pending])
-            for (L, R), d in zip(ed_pending, dists):
-                if self.comp_fn(d, self.threshold):
-                    self._emit(L, R, float(d), out_l, out_r, out_s)
-
-        if self.counter_name and checked_record_pairs:
-            try:
-                import ray as _ray
-                _ray.get_actor(self.counter_name).add.remote(checked_record_pairs)
-            except ValueError:
-                pass  # counter actor gone; counting is best-effort telemetry
-
-        cols = {
-            'l_key': np.concatenate(out_l) if out_l else np.array([], dtype=object),
-            'r_key': np.concatenate(out_r) if out_r else np.array([], dtype=object),
-        }
-        if self.out_sim_score and self.mode not in ('prefix_candidates',
-                                                    'position_candidates'):
-            cols['_sim_score'] = (np.concatenate(out_s) if out_s
-                                  else np.array([], dtype=np.float64))
-        return pd.DataFrame(cols)
-
-    def _emit(self, L: _Class, R: _Class, score, out_l, out_r, out_s):
-        lk = np.asarray(L.l_keys, dtype=object)
-        rk = np.asarray(R.r_keys, dtype=object)
-        ll = np.repeat(lk, len(rk))
-        rr = np.tile(rk, len(lk))
-        if self.self_join:
-            keep = ll < rr
-            ll, rr = ll[keep], rr[keep]
-            if len(ll) == 0:
-                return
-        out_l.append(ll)
-        out_r.append(rr)
-        if score is not None:
-            out_s.append(np.full(len(ll), score, dtype=np.float64))

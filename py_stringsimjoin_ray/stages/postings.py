@@ -165,10 +165,6 @@ def _vocab_shard(shard: int, nshards: int, *blocks):
     total.  Hash-range sharding makes the within-count cross-shard order
     equal the global hash order, so stitching preserves the exact
     (count asc, token-hash asc) rank semantics of the single-task build."""
-    import os as _os
-    import time as _time
-    _prof = _os.environ.get('SSJ_KERNEL_PROF')
-    _t0 = _time.perf_counter() if _prof else 0.0
     import duckdb
     shift = 64 - max(1, (int(nshards) - 1).bit_length())
     lo = np.uint64(int(shard) << shift)
@@ -193,7 +189,6 @@ def _vocab_shard(shard: int, nshards: int, *blocks):
     if not parts:
         return empty
     merged = pa.concat_tables(parts)
-    _t1 = _time.perf_counter() if _prof else 0.0
     con = duckdb.connect()
     con.execute('SET threads TO 1')  # matches the task's num_cpus=1
     con.register('t_partials', merged)
@@ -201,14 +196,6 @@ def _vocab_shard(shard: int, nshards: int, *blocks):
         SELECT any_value(h) AS h, sum(partial) AS c
         FROM t_partials GROUP BY token""").arrow()
     con.close()
-    _t2 = _time.perf_counter() if _prof else 0.0
-    if _prof:
-        import json as _json
-        _os.makedirs('/tmp/ssj_prof_vs', exist_ok=True)
-        with open(f'/tmp/ssj_prof_vs/{_os.getpid()}.jsonl', 'a') as f:
-            f.write(_json.dumps({'shard': int(shard), 'rows': len(merged),
-                                 'slice': round(_t1 - _t0, 3),
-                                 'group': round(_t2 - _t1, 3)}) + '\n')
     if len(res) == 0:
         return empty
     h = res['h'].to_numpy().astype(np.uint64)
@@ -318,24 +305,10 @@ def fused_rank_lookup(tokenized, salt_df_threshold: int,
     total_token_occurrences: int — the broadcast-gate size driver)."""
     import ray
 
-    import os as _os
-    import sys as _sys
-    import time as _time
-    _prof = _os.environ.get('SSJ_STAGE_PROF')
-    _t0 = _time.time()
-
-    def _mark(tag):
-        nonlocal _t0
-        if _prof:
-            print(f'SSJPROF vocab.{tag} {_time.time() - _t0:.2f}',
-                  file=_sys.stderr, flush=True)
-        _t0 = _time.time()
-
     from .tokenize import partial_token_counts_hashed
     partial = tokenized.map_batches(partial_token_counts_hashed,
                                     batch_format='pyarrow',
                                     batch_size=None).materialize()
-    _mark('partials')
     refs = []
     for bundle in partial.iter_internal_ref_bundles():
         refs.extend(bundle.block_refs)
@@ -355,7 +328,6 @@ def fused_rank_lookup(tokenized, salt_df_threshold: int,
         piece_refs = [shard_task.remote(s, nshards, *refs)
                       for s in range(nshards)]
         pieces = ray.get(piece_refs)
-        _mark('shards')
         coll = any(bool(p[5]) for p in pieces)
         tot = sum(int(p[6]) for p in pieces)
         all_cv, base, prefix = _vocab_offsets(pieces)
@@ -367,7 +339,6 @@ def fused_rank_lookup(tokenized, salt_df_threshold: int,
         lut_ref, heavy_ref = concat_task.remote(salt_df_threshold, max_grid,
                                                 *ranked_refs)
         heavy = ray.get(heavy_ref)
-        _mark('rank_concat')
     else:
         ncpu = max(2, min(8, cpus // 2))
         builder = ray.remote(num_cpus=ncpu, num_returns=4)(_fused_rank_build)
@@ -376,7 +347,6 @@ def fused_rank_lookup(tokenized, salt_df_threshold: int,
         heavy = ray.get(heavy_ref)
         tot = int(ray.get(tot_ref))
         coll = bool(ray.get(coll_ref))
-        _mark('build_get')
     if coll:  # pragma: no cover
         # vocabulary hash collision: rebuild exactly via the slow chain
         from .tokenize import token_frequencies as _tf

@@ -304,8 +304,7 @@ _EXPAND_SLAB = 8_000_000
 
 def _np_candidates(tbl: pa.Table, sim_type: str, threshold,
                    same_relation: bool, bc=None,
-                   heavy_arrays=None,
-                   count_mode: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                   heavy_arrays=None) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized per-partition candidate generation over slim postings.
 
     Replaces the DuckDB (bucket, tok) self-join + pair-level HAVING gate.
@@ -375,28 +374,21 @@ def _np_candidates(tbl: pa.Table, sim_type: str, threshold,
     rem = (sz - pos).astype(np.int64)
 
     out_a, out_b = [], []
-    if not count_mode:
-        # identity pairs: exactly once, via the sig's first prefix token
-        idm = pos == 0
-        if two_table:
-            idm &= hl & hr
-        idd = si[idm]
-        out_a.append(idd)
-        out_b.append(idd)
+    # identity pairs: exactly once, via the sig's first prefix token
+    idm = pos == 0
+    if two_table:
+        idm &= hl & hr
+    idd = si[idm]
+    out_a.append(idd)
+    out_b.append(idd)
 
     def emit(ii: np.ndarray, ji: np.ndarray) -> None:
         szi, szj = sz[ii], sz[ji]
-        if count_mode:
-            # counts must be group-consistent: the positional ovt term
-            # varies by group and would corrupt them; the (pair-level)
-            # size bounds only drop pairs that can never reach the
-            # threshold, so skipping them is merely conservative
-            keep = np.ones(len(ii), dtype=bool)
-        elif size_lo is not None:
+        if size_lo is not None:
             keep = (szi >= size_lo[szj]) & (szi <= size_hi[szj])
         else:
             keep = np.ones(len(ii), dtype=bool)
-        if set_measure and not count_mode:
+        if set_measure:
             if ovt_sum is not None:
                 ovt = ovt_sum[szi + szj]
             elif ovt_min is not None:
@@ -423,11 +415,7 @@ def _np_candidates(tbl: pa.Table, sim_type: str, threshold,
             out_b.append(np.concatenate([b[fwd], a[rev]]))
 
     # positional eligibility of the size-smaller pair side: rem >= ovt(sz, sz)
-    if count_mode:
-        # counting mode: every shared token must be enumerated (each
-        # emission IS one unit of the exact overlap count) — no pruning
-        elig = np.ones(n, dtype=bool)
-    elif not set_measure:         # EDIT_DISTANCE: no positional gate
+    if not set_measure:           # EDIT_DISTANCE: no positional gate
         elig = np.ones(n, dtype=bool)
     elif ovt_sum is not None:     # JACCARD / DICE
         elig = rem >= ovt_sum[2 * sz.astype(np.int64)]
@@ -517,12 +505,18 @@ def _build_tsig_shard(shard, nshards, same_relation, keep_string, *blocks):
     top = bool((np.uint64(shard + 1) << shift) >= np.uint64(1 << 63))
     hi_sig = np.int64(0) if top else np.int64(np.uint64(shard + 1) << shift)
     pay_parts, mem_parts = [], []
-    for t in blocks:
+    for j, t in enumerate(blocks):
         if isinstance(t, pd.DataFrame):
             t = pa.Table.from_pandas(t, preserve_index=False)
         if 'kind' not in t.column_names:  # schemaless empty block
             continue
         sig = t['sig'].to_numpy(zero_copy_only=False)
+        # the slices need ONE sig-sorted run per block, or they would drop
+        # memberships silently; one builder per block checks the whole
+        # block, so the check costs O(data) over all builders together
+        if j % nshards == shard and bool((sig[1:] < sig[:-1]).any()):
+            raise RuntimeError(f'Tsig split block {j} is not sorted by '
+                               f'signature')
         a = int(np.searchsorted(sig, lo_sig, 'left'))
         b = len(sig) if top else int(np.searchsorted(sig, hi_sig, 'left'))
         if b <= a:
@@ -720,21 +714,10 @@ def collect_tsig(tagged: ray.data.Dataset, same_relation: bool,
         return _tsig_split_block(b, keep_string)
     split.__name__ = 'split'
 
-    import os as _os
-    import sys as _sys
-    import time as _time
-    _prof = _os.environ.get('SSJ_STAGE_PROF')
-    _t0 = _time.time()
-
-    def _mark(tag):
-        nonlocal _t0
-        if _prof:
-            print(f'SSJPROF tsig.{tag} {_time.time() - _t0:.2f}',
-                  file=_sys.stderr, flush=True)
-        _t0 = _time.time()
-
-    split_ds = tagged.map_batches(split, batch_format='pyarrow').materialize()
-    _mark('split')
+    # whole blocks: _build_tsig_shard slices each block by binary search,
+    # which needs one sig-sorted run per block
+    split_ds = tagged.map_batches(split, batch_format='pyarrow',
+                                  batch_size=None).materialize()
     refs = []
     for bundle in split_ds.iter_internal_ref_bundles():
         refs.extend(bundle.block_refs)
@@ -746,7 +729,6 @@ def collect_tsig(tagged: ray.data.Dataset, same_relation: bool,
            for s in range(nshards)]
     piece_refs = [o[0] for o in out]
     sizes = [int(x) for x in ray.get([o[1] for o in out])]
-    _mark('shards')
     n = sum(sizes)
     if n == 0:
         return None, None, 0
@@ -769,7 +751,6 @@ def collect_tsig(tagged: ray.data.Dataset, same_relation: bool,
         if s_ > 0:
             out_refs = rebase.remote(int(b), nslices, pr)
             tbl_refs.extend(out_refs if nslices > 1 else [out_refs])
-    _mark('rebase_submit')
     return bc_ref, tbl_refs, n
 
 
@@ -789,7 +770,8 @@ def collect_tsig_shards(tagged: ray.data.Dataset, same_relation: bool,
         return _tsig_split_block(b, keep_string)
     split.__name__ = 'split'
 
-    split_ds = tagged.map_batches(split, batch_format='pyarrow').materialize()
+    split_ds = tagged.map_batches(split, batch_format='pyarrow',
+                                  batch_size=None).materialize()
     refs = []
     for bundle in split_ds.iter_internal_ref_bundles():
         refs.extend(bundle.block_refs)
@@ -853,18 +835,10 @@ class BroadcastCandGen:
     def __init__(self, sim_type: str, threshold, qval=None,
                  same_relation: bool = False, num_vbuckets: int = 512,
                  bc_ref=None, heavy=None, shard_bases=None,
-                 shard_sub: int = 8, skew_name: str | None = None,
-                 count_mode: bool = False):
+                 shard_sub: int = 8, skew_name: str | None = None):
         self.__name__ = 'BroadcastCandGen'
         self.skew_name = skew_name
         self._skew_cache: dict = {}
-        # count_mode (OVERLAP counting join): enumerate EVERY shared-token
-        # pair occurrence (no eligibility/size pruning, no identity) and
-        # emit per-partition partial counts; the verify groups sum them —
-        # the sum IS the exact set overlap (routed only for corpora with
-        # no heavy tokens, so the enumeration volume is provably
-        # <= salt_df_threshold x total token occurrences)
-        self.count_mode = count_mode
         self.sim_type = sim_type
         self.threshold = threshold
         self.qval = qval
@@ -887,10 +861,6 @@ class BroadcastCandGen:
         self._bc = None
 
     def __call__(self, tbl) -> pa.Table:
-        import os as _os
-        import time as _time
-        prof = _os.environ.get('SSJ_KERNEL_PROF')
-        _t0 = _time.perf_counter() if prof else 0.0
         if isinstance(tbl, pd.DataFrame):
             tbl = pa.Table.from_pandas(tbl, preserve_index=False)
         sharded = self.shard_bases is not None
@@ -900,42 +870,18 @@ class BroadcastCandGen:
             vb_np, vb_pa = np.int16, pa.int16()
         else:
             vb_np, vb_pa = np.int32, pa.int32()
-        empty_cols = {'vb': pa.array([], vb_pa),
-                      'pair64': pa.array([], pa.int64())}
-        if self.count_mode:
-            empty_cols['cnt'] = pa.array([], pa.int32())
-        empty = pa.table(empty_cols)
+        empty = pa.table({'vb': pa.array([], vb_pa),
+                          'pair64': pa.array([], pa.int64())})
         if len(tbl) == 0:
             return empty
         if self._bc is None and self.bc_ref is not None:
             self._bc = ray.get(self.bc_ref)
         sa, sb = _np_candidates(tbl, self.sim_type, self.threshold,
                                 self.same_relation, bc=self._bc,
-                                heavy_arrays=(self._hr, self._hg),
-                                count_mode=self.count_mode)
-        if self.count_mode:
-            raw = (sa << np.int64(32)) | sb if len(sa) else                 np.empty(0, np.int64)
-            pair64, cnts = (np.unique(raw, return_counts=True)
-                            if len(raw) else
-                            (np.empty(0, np.int64), np.empty(0, np.int64)))
-            # identity markers: one per signature whose min-token posting
-            # lives in this partition (counts filled closed-form in the
-            # verify group — cnt 0 here)
-            pos = tbl['pos'].to_numpy(zero_copy_only=False)
-            sig = tbl['sig'].to_numpy(zero_copy_only=False).astype(np.int64)
-            idm = pos == 0
-            if not self.same_relation:
-                idm = idm & (tbl['hl'].to_numpy(zero_copy_only=False) > 0)                     & (tbl['hr'].to_numpy(zero_copy_only=False) > 0)
-            idd = sig[idm]
-            pair64 = np.concatenate(
-                [pair64, (idd << np.int64(32)) | idd])
-            cnts = np.concatenate([cnts, np.zeros(len(idd), np.int64)])
-            if len(pair64) == 0:
-                return empty
-        else:
-            if len(sa) == 0:
-                return empty
-            pair64 = np.unique((sa << np.int64(32)) | sb)
+                                heavy_arrays=(self._hr, self._hg))
+        if len(sa) == 0:
+            return empty
+        pair64 = np.unique((sa << np.int64(32)) | sb)
         if self.skew_name:
             from ..state.skewstats import report as _skew_report
             _skew_report(self.skew_name, 'candgen', len(pair64),
@@ -954,18 +900,8 @@ class BroadcastCandGen:
         else:
             vb = ((pair64.view(np.uint64) * KNUTH) >> np.uint64(17)) \
                 % np.uint64(self.num_vbuckets)
-        if prof:
-            import json as _json
-            _os.makedirs('/tmp/ssj_prof_cg', exist_ok=True)
-            with open(f'/tmp/ssj_prof_cg/{_os.getpid()}.jsonl', 'a') as f:
-                f.write(_json.dumps(
-                    {'n_post': len(tbl), 'n_cand': len(pair64),
-                     'sec': round(_time.perf_counter() - _t0, 4)}) + '\n')
-        out_cols = {'vb': pa.array(vb.astype(vb_np), vb_pa),
-                    'pair64': pa.array(pair64, pa.int64())}
-        if self.count_mode:
-            out_cols['cnt'] = pa.array(cnts.astype(np.int32), pa.int32())
-        return pa.table(out_cols)
+        return pa.table({'vb': pa.array(vb.astype(vb_np), vb_pa),
+                         'pair64': pa.array(pair64, pa.int64())})
 
 
 class BroadcastVerify:
@@ -1027,19 +963,6 @@ class BroadcastVerify:
                              '_sim_score': np.array([], np.float64)})
 
     def __call__(self, tbl) -> pd.DataFrame:
-        import os as _os
-        import time as _time
-        prof = _os.environ.get('SSJ_KERNEL_PROF')
-        _t = _time.perf_counter() if prof else 0.0
-        _ph: dict = {}
-
-        def _mark(name):
-            nonlocal _t
-            if prof:
-                now = _time.perf_counter()
-                _ph[name] = _ph.get(name, 0.0) + (now - _t)
-                _t = now
-
         if isinstance(tbl, pd.DataFrame):
             tbl = pa.Table.from_pandas(tbl, preserve_index=False)
         if len(tbl) == 0:
@@ -1051,7 +974,6 @@ class BroadcastVerify:
         ib = (cand & np.int64(0xFFFFFFFF)).astype(np.int64)
         bcA, la, bcB, lb = self._sides(ia, ib)
         is_ed = self.sim_type == 'EDIT_DISTANCE'
-        _mark('setup')
 
         # ---- one prefix-intersection join computes, per UNIQUE pair:
         #   pov    = |prefix_A ∩ prefix_B|,
@@ -1136,7 +1058,6 @@ class BroadcastVerify:
             ia, ib, la, lb = ia[keep], ib[keep], la[keep], lb[keep]
             cntA, cntB = cntA[keep], cntB[keep]
             pov, pamax, pbmax = pov[keep], pamax[keep], pbmax[keep]
-        _mark('intersect')
         if len(ia) == 0:
             return self._empty()
 
@@ -1177,20 +1098,11 @@ class BroadcastVerify:
         keep = self.comp_fn(scores, self.threshold)
         ia, ib, la, lb = ia[keep], ib[keep], la[keep], lb[keep]
         cntA, cntB, scores = cntA[keep], cntB[keep], scores[keep]
-        _mark('verify')
         if len(ia) == 0:
             return self._empty()
 
         out_l, out_r, out_s = self._expand_members(
             bcA, la, bcB, lb, ia, ib, cntA, cntB, scores)
-        _mark('expand')
-        if prof:
-            import json as _json
-            _os.makedirs('/tmp/ssj_prof', exist_ok=True)
-            with open(f'/tmp/ssj_prof/{_os.getpid()}.jsonl', 'a') as f:
-                f.write(_json.dumps({'n_in': len(tbl),
-                                     'n_uniq': len(cand),
-                                     'n_out': len(out_l), **_ph}) + '\n')
         return pd.DataFrame({'l_key': out_l, 'r_key': out_r,
                              '_sim_score': out_s})
 
@@ -1284,76 +1196,6 @@ class BroadcastVerify:
                 np.empty(0, np.float64))
 
 
-def _distinct_counts(bc: _TsigBroadcast, idx: np.ndarray) -> np.ndarray:
-    """Per-signature DISTINCT token counts over the (sorted, possibly
-    bag) rank slices — one consecutive-dedup pass, vectorized."""
-    lens = (bc.rank_off[idx + 1] - bc.rank_off[idx]).astype(np.int64)
-    tot = int(lens.sum())
-    if tot == 0:
-        return np.zeros(len(idx), np.int64)
-    seg = np.concatenate(([0], np.cumsum(lens)))
-    pos = np.arange(tot, dtype=np.int64) - np.repeat(seg[:-1], lens)
-    v = bc.rank_flat[np.repeat(bc.rank_off[idx], lens) + pos]
-    first = pos == 0
-    ne = np.empty(tot, bool)
-    ne[0] = True
-    ne[1:] = v[1:] != v[:-1]
-    keep = first | ne
-    row = np.repeat(np.arange(len(idx), dtype=np.int64), lens)
-    return np.bincount(row[keep], minlength=len(idx))
-
-
-class CountVerify(BroadcastVerify):
-    """OVERLAP counting reduce (the distributed twin of the local
-    counting kernel, reference anchor
-    ``/root/reference/py_stringsimjoin/join/overlap_join_py.py`` full-
-    index counting): sums the per-partition partial counts per unique
-    pair — the sum IS the exact set overlap, so there is NO intersection
-    pass — fills identity pairs' counts in closed form from the
-    signature table, applies comp_op, and expands memberships."""
-
-    def __call__(self, tbl) -> pd.DataFrame:
-        if isinstance(tbl, pd.DataFrame):
-            tbl = pa.Table.from_pandas(tbl, preserve_index=False)
-        if len(tbl) == 0:
-            return self._empty()
-        p64 = tbl['pair64'].to_numpy(zero_copy_only=False)
-        cnt = tbl['cnt'].to_numpy(zero_copy_only=False).astype(np.int64)
-        cand, inv = np.unique(p64, return_inverse=True)
-        counts = np.bincount(inv, weights=cnt).astype(np.int64)
-        ia = (cand >> np.int64(32)).astype(np.int64)
-        ib = (cand & np.int64(0xFFFFFFFF)).astype(np.int64)
-        bcA, la, bcB, lb = self._sides(ia, ib)
-        ident = ia == ib
-        if ident.any():
-            sel = np.flatnonzero(ident)
-            counts[sel] = _distinct_counts(bcA, la[sel])
-        cntA = bcA.l_key_off[la + 1] - bcA.l_key_off[la]
-        cntB = bcB.r_key_off[lb + 1] - bcB.r_key_off[lb]
-        checked = int((cntA * cntB).sum())
-        if self.skew_name:
-            from ..state.skewstats import report as _skew_report
-            _skew_report(self.skew_name, 'verify', checked,
-                         self._skew_cache)
-        if self.counter_name and checked:
-            try:
-                if self._counter is None:
-                    self._counter = ray.get_actor(self.counter_name)
-                self._counter.add.remote(checked)
-            except ValueError:
-                pass
-        scores = counts.astype(np.float64)
-        keep = self.comp_fn(scores, self.threshold)
-        ia, ib, la, lb = ia[keep], ib[keep], la[keep], lb[keep]
-        cntA, cntB, scores = cntA[keep], cntB[keep], scores[keep]
-        if len(ia) == 0:
-            return self._empty()
-        out_l, out_r, out_s = self._expand_members(
-            bcA, la, bcB, lb, ia, ib, cntA, cntB, scores)
-        return pd.DataFrame({'l_key': out_l, 'r_key': out_r,
-                             '_sim_score': out_s})
-
-
 # Above this estimated signature-table size the broadcast regime gives way
 # to the distributed attach passes (no single node should hold the table).
 # The floor is 2 GiB; when the per-node object store is large the gate
@@ -1443,11 +1285,8 @@ def slim_match_pairs(ranked_l, ranked_r, cfg, heavy_ref,
                 float(os.environ.get('SSJ_HASH_CPU_PER_PART',
                                      str(max(1.0, ncpu / 8.0) / 200.0)))
         try:
-            from ..pipelines.join import _prof_mark
-            prof = _prof_mark()
             bc_ref, tbl_refs, nsig = collect_tsig(tagged, same_relation,
                                                   keep_string)
-            prof('collect_tsig')
             if bc_ref is None:
                 return ray.data.from_pandas(pd.DataFrame({
                     'l_key': np.array([], object),
@@ -1470,24 +1309,14 @@ def slim_match_pairs(ranked_l, ranked_r, cfg, heavy_ref,
                                   emit_sides=not same_relation,
                                   num_parts=nparts, slim_wire=True),
                 batch_format='pyarrow')
-            # profiling aid: SSJ_JOIN_STAGE_BARRIERS=1 splits the 5-op plan
-            # at the two shuffle seams so per-stage walls are attributable
-            # (measured within noise of the fused plan at bench scale)
-            if os.environ.get('SSJ_JOIN_STAGE_BARRIERS') == '1':
-                postings = postings.materialize()
-            count_join = getattr(cfg, 'count_join', False)
             cand = postings.groupby('part').map_groups(
                 BroadcastCandGen(cfg.sim_type, cfg.threshold, cfg.qval,
                                  same_relation=same_relation,
                                  num_vbuckets=nb, bc_ref=bc_ref,
                                  heavy=heavy,
-                                 skew_name=getattr(cfg, 'skew_name', None),
-                                 count_mode=count_join),
+                                 skew_name=getattr(cfg, 'skew_name', None)),
                 batch_format='pyarrow')
-            if os.environ.get('SSJ_JOIN_STAGE_BARRIERS') == '1':
-                cand = cand.materialize()
-            vcls = CountVerify if count_join else BroadcastVerify
-            fn = vcls(
+            fn = BroadcastVerify(
                 bc_ref, cfg.sim_type, cfg.threshold, cfg.comp_op, cfg.qval,
                 same_relation=same_relation, self_join=cfg.self_join,
                 round_score=True, counter_name=cfg.counter_name,
@@ -1548,18 +1377,15 @@ def slim_match_pairs(ranked_l, ranked_r, cfg, heavy_ref,
             SlimPostingsStage(nb, heavy_ref, emit_sides=not same_relation,
                               num_parts=_candgen_parts(nsig)),
             batch_format='pyarrow')
-        count_join = getattr(cfg, 'count_join', False)
         cand = postings.groupby('part').map_groups(
             BroadcastCandGen(cfg.sim_type, cfg.threshold, cfg.qval,
                              same_relation=same_relation,
                              heavy=heavy, shard_bases=bases,
                              shard_sub=int(os.environ.get(
                                  'SSJ_SHARD_SUB', '8')),
-                             skew_name=getattr(cfg, 'skew_name', None),
-                             count_mode=count_join),
+                             skew_name=getattr(cfg, 'skew_name', None)),
             batch_format='pyarrow')
-        vcls = CountVerify if count_join else BroadcastVerify
-        fn = vcls(
+        fn = BroadcastVerify(
             None, cfg.sim_type, cfg.threshold, cfg.comp_op, cfg.qval,
             same_relation=same_relation, self_join=cfg.self_join,
             round_score=True, counter_name=cfg.counter_name,

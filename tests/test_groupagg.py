@@ -212,3 +212,33 @@ def test_dictionary_encoded_string_key(frame):
     assert got['s'].tolist() == [10, 7, 4]
     dd = bucketed_distinct(ds, ['k'], num_buckets=4).to_pandas()
     assert sorted(dd['k'].tolist()) == ['a', 'b', 'c']
+
+
+def test_group_by_layout_change_fails_loudly():
+    """_grouped maps pyarrow's group_by output by position; a layout with
+    the keys NOT first must raise (even under ``python -O``) instead of
+    swapping key and aggregate columns."""
+    import pyarrow as pa
+
+    from py_stringsimjoin_ray.stages.groupagg import _grouped
+
+    class KeysLast:
+        def __init__(self, tbl):
+            self.tbl = tbl
+            self.schema = tbl.schema
+
+        def group_by(self, keys, use_threads=True):
+            grouped = self.tbl.group_by(keys, use_threads=use_threads)
+
+            class Agg:
+                def aggregate(self, plan):
+                    res = grouped.aggregate(plan)
+                    n = len(keys)
+                    return res.select(list(range(n, res.num_columns))
+                                      + list(range(n)))
+            return Agg()
+
+    tbl = pa.table({'k': [1, 1, 2], 'v': [1, 2, 3]})
+    assert _grouped(tbl, ['k'], [('s', 'v', 'sum')]).column_names == ['k', 's']
+    with pytest.raises(RuntimeError, match='group_by layout'):
+        _grouped(KeysLast(tbl), ['k'], [('s', 'v', 'sum')])

@@ -1,9 +1,9 @@
-"""Numpy bucket-kernel differential tests (stages/pairgen.py, VERDICT r4
-#1): the vectorized candidates kernel must emit EXACTLY the row-wise
-reference path's pairs for every filter_tables mode — including forced
+"""Numpy bucket-kernel tests (stages/pairgen.py): for every filter_tables
+candidates mode the kernel must emit EXACTLY the pairs of the brute-force,
+row-by-row oracles in ``test_filters.py`` (a literal re-implementation of
+the reference's probe loops), each pair once — including forced
 heavy-token salting, duplicate signature classes, bag tokenizers and
-same-table inputs.  The row-wise path is the oracle-pinned ground truth
-(tests/test_property_filters.py ties it to per-kernel oracles)."""
+same-table inputs."""
 
 import numpy as np
 import pandas as pd
@@ -11,6 +11,9 @@ import pytest
 
 from py_stringsimjoin_ray import (OverlapFilter, PositionFilter, PrefixFilter,
                                   QgramTokenizer, WhitespaceTokenizer)
+from py_stringsimjoin_ray.stages.pairgen import PairGenVerify
+from test_filters import (oracle_overlap_tables, oracle_position_tables,
+                          oracle_prefix_tables)
 
 
 def _tables(n=40, seed=11):
@@ -30,99 +33,108 @@ def _tables(n=40, seed=11):
     return mk(0), mk(1000)
 
 
-def _canon(df):
-    cols = [c for c in df.columns if c != '_sim_score']
-    out = sorted(map(tuple, df[cols].itertuples(index=False)))
-    if '_sim_score' in df.columns:
-        smap = sorted(map(tuple, df.round({'_sim_score': 10})
-                          .itertuples(index=False)))
-        return out, smap
-    return out
+def _pairs_once(out):
+    """Pair set of a filter output, asserting no pair is emitted twice."""
+    pairs = list(zip(out['l_id'], out['r_id']))
+    assert len(pairs) == len(set(pairs))
+    return set(pairs)
 
 
-def _both_paths(monkeypatch, fn):
-    monkeypatch.delenv('SSJ_PAIRGEN_ROWWISE', raising=False)
-    fast = fn()
-    monkeypatch.setenv('SSJ_PAIRGEN_ROWWISE', '1')
-    slow = fn()
-    monkeypatch.delenv('SSJ_PAIRGEN_ROWWISE', raising=False)
-    return fast, slow
+def _scored(out):
+    return {(a, b): s for a, b, s in
+            zip(out['l_id'], out['r_id'], out['_sim_score'])}
+
+
+def _overlap(tok, k):
+    return (OverlapFilter(tok, k),
+            lambda l, r, kw: oracle_overlap_tables(l, r, 'id', 'id', 's', 's',
+                                                   tok, k, '>='))
+
+
+def _prefix(tok, st, t):
+    return (PrefixFilter(tok, st, t),
+            lambda l, r, kw: oracle_prefix_tables(l, r, 'id', 'id', 's', 's',
+                                                  tok, st, t))
+
+
+def _position(tok, st, t):
+    return (PositionFilter(tok, st, t),
+            lambda l, r, kw: oracle_position_tables(l, r, 'id', 'id', 's',
+                                                    's', tok, st, t))
 
 
 @pytest.mark.parametrize('salt', [10 ** 9, 2])
-@pytest.mark.parametrize('build', [
-    lambda: (OverlapFilter(WhitespaceTokenizer(return_set=True), 2), {}),
-    lambda: (OverlapFilter(QgramTokenizer(qval=2, return_set=False), 3),
-             {'out_sim_score': True}),
-    lambda: (PrefixFilter(WhitespaceTokenizer(return_set=True),
-                          'JACCARD', 0.4), {}),
-    lambda: (PositionFilter(WhitespaceTokenizer(return_set=True),
-                            'DICE', 0.55), {}),
-    lambda: (PositionFilter(WhitespaceTokenizer(return_set=True),
-                            'OVERLAP', 2), {}),
+@pytest.mark.parametrize('build,kw', [
+    (lambda: _overlap(WhitespaceTokenizer(return_set=True), 2), {}),
+    (lambda: _overlap(QgramTokenizer(qval=2, return_set=False), 3),
+     {'out_sim_score': True}),
+    (lambda: _prefix(WhitespaceTokenizer(return_set=True), 'JACCARD', 0.4),
+     {}),
+    (lambda: _position(WhitespaceTokenizer(return_set=True), 'DICE', 0.55),
+     {}),
+    (lambda: _position(WhitespaceTokenizer(return_set=True), 'OVERLAP', 2),
+     {}),
 ], ids=['overlap_set', 'overlap_bag_score', 'prefix_jac', 'position_dice',
         'position_overlap'])
-def test_np_kernel_matches_rowwise(ray_session, monkeypatch, salt, build):
+def test_np_kernel_matches_rowwise(ray_session, salt, build, kw):
+    """Kernel vs the row-by-row oracle, salted and unsalted."""
     l, r = _tables()
-    f, kw = build()
-    fast, slow = _both_paths(
-        monkeypatch,
-        lambda: f.filter_tables(l, r, 'id', 'id', 's', 's',
-                                salt_df_threshold=salt, **kw))
-    assert _canon(fast) == _canon(slow)
-    assert len(fast) > 0
+    f, oracle = build()
+    out = f.filter_tables(l, r, 'id', 'id', 's', 's',
+                          salt_df_threshold=salt, **kw)
+    exp = oracle(l, r, kw)
+    assert _pairs_once(out) == set(exp)
+    if kw.get('out_sim_score'):
+        assert _scored(out) == exp
+    assert len(out) > 0
 
 
-def test_np_kernel_same_table_identity(ray_session, monkeypatch):
+def test_np_kernel_same_table_identity(ray_session):
     # same DataFrame on both sides: single-side postings, identity class
     # pairs, duplicate signature classes
     l, _ = _tables(24, seed=3)
-    f = PrefixFilter(WhitespaceTokenizer(return_set=True), 'JACCARD', 0.5)
-    fast, slow = _both_paths(
-        monkeypatch, lambda: f.filter_tables(l, l, 'id', 'id', 's', 's'))
-    assert _canon(fast) == _canon(slow)
-    # identity pairs present exactly once
-    pairs = list(zip(fast['l_id'], fast['r_id']))
-    assert len(pairs) == len(set(pairs))
-    assert all((i, i) in set(pairs) for i in l['id'])
+    tok = WhitespaceTokenizer(return_set=True)
+    f = PrefixFilter(tok, 'JACCARD', 0.5)
+    out = f.filter_tables(l, l, 'id', 'id', 's', 's')
+    pairs = _pairs_once(out)
+    assert pairs == oracle_prefix_tables(l, l, 'id', 'id', 's', 's', tok,
+                                         'JACCARD', 0.5)
+    assert all((i, i) in pairs for i in l['id'])
 
 
-def test_np_kernel_prefix_edit_distance(ray_session, monkeypatch):
+def test_np_kernel_prefix_edit_distance(ray_session):
     rng = np.random.default_rng(5)
     base = ['martha', 'marhta', 'jones', 'jonse', 'aaaaa', 'aaaab',
             'different', 'differant']
     l = pd.DataFrame({'id': range(len(base)), 's': base})
     r = pd.DataFrame({'id': range(100, 100 + len(base)),
                       's': [x + rng.choice(['', 's']) for x in base]})
-    f = PrefixFilter(QgramTokenizer(qval=2, return_set=False),
-                     'EDIT_DISTANCE', 1)
-    fast, slow = _both_paths(
-        monkeypatch, lambda: f.filter_tables(l, r, 'id', 'id', 's', 's'))
-    assert _canon(fast) == _canon(slow)
-    assert len(fast) > 0
+    tok = QgramTokenizer(qval=2, return_set=False)
+    f = PrefixFilter(tok, 'EDIT_DISTANCE', 1)
+    out = f.filter_tables(l, r, 'id', 'id', 's', 's')
+    assert _pairs_once(out) == oracle_prefix_tables(
+        l, r, 'id', 'id', 's', 's', tok, 'EDIT_DISTANCE', 1)
+    assert len(out) > 0
 
 
-def test_np_kernel_salted_dup_classes(ray_session, monkeypatch):
+def test_np_kernel_salted_dup_classes(ray_session):
     # several identical records share a salted heavy token: class collapse
     # + grid roles + identity emission must still be exact-once
     rows = ['common heavy alpha beta'] * 6 + \
            ['common heavy alpha gamma'] * 3 + ['rare solo text'] * 2
     l = pd.DataFrame({'id': range(len(rows)), 's': rows})
     r = pd.DataFrame({'id': range(500, 500 + len(rows)), 's': rows})
-    f = OverlapFilter(WhitespaceTokenizer(return_set=True), 2)
-    fast, slow = _both_paths(
-        monkeypatch,
-        lambda: f.filter_tables(l, r, 'id', 'id', 's', 's',
-                                salt_df_threshold=2))
-    assert _canon(fast) == _canon(slow)
-    pairs = list(zip(fast['l_id'], fast['r_id']))
-    assert len(pairs) == len(set(pairs))
+    tok = WhitespaceTokenizer(return_set=True)
+    f = OverlapFilter(tok, 2)
+    out = f.filter_tables(l, r, 'id', 'id', 's', 's', salt_df_threshold=2)
+    assert _pairs_once(out) == set(oracle_overlap_tables(
+        l, r, 'id', 'id', 's', 's', tok, 2, '>='))
 
 
-def test_np_kernel_position_edit_distance(ray_session, monkeypatch):
+def test_np_kernel_position_edit_distance(ray_session):
     """The EDIT_DISTANCE position-filter path (qgram bags, ED overlap
     threshold with qval, ED size bounds) through the numpy kernel must
-    match the row-wise reference path."""
+    match the row-by-row oracle."""
     names = ['martha', 'marhta', 'marta', 'jones', 'jonse', 'joness',
              'aaaaaa', 'aaaaab', 'zzzzz', 'different']
     l = pd.DataFrame({'id': range(len(names)), 's': names})
@@ -130,9 +142,17 @@ def test_np_kernel_position_edit_distance(ray_session, monkeypatch):
                       's': [n + x for n, x in
                             zip(names, ['', 's', '', 'x', '', '', 'a', '',
                                         '', 'ly'])]})
-    f = PositionFilter(QgramTokenizer(qval=2, return_set=False),
-                       'EDIT_DISTANCE', 2)
-    fast, slow = _both_paths(
-        monkeypatch, lambda: f.filter_tables(l, r, 'id', 'id', 's', 's'))
-    assert _canon(fast) == _canon(slow)
-    assert len(fast) > 0
+    tok = QgramTokenizer(qval=2, return_set=False)
+    f = PositionFilter(tok, 'EDIT_DISTANCE', 2)
+    out = f.filter_tables(l, r, 'id', 'id', 's', 's')
+    assert _pairs_once(out) == oracle_position_tables(
+        l, r, 'id', 'id', 's', 's', tok, 'EDIT_DISTANCE', 2)
+    assert len(out) > 0
+
+
+@pytest.mark.parametrize('mode', ['join', 'candidates', None])
+def test_pairgen_rejects_non_candidates_modes(mode):
+    """Joins run the slim-postings or local path; the bucket kernel only
+    serves the three filter_tables candidates modes."""
+    with pytest.raises(ValueError, match='mode'):
+        PairGenVerify('JACCARD', 0.5, mode=mode)

@@ -136,30 +136,41 @@ def test_suffix_filter_matches_oracle(tok, l, r, t):
     assert _pairs(out) == _suffix_oracle(l, r, tok, 'JACCARD', t, f)
 
 
+def _overlap_oracle(tok, k):
+    return (OverlapFilter(tok, k),
+            lambda l, r: set(oracle_overlap_tables(l, r, 'id', 'id', 's', 's',
+                                                   tok, k, '>=')))
+
+
+def _prefix_oracle(tok, sim_type, t):
+    return (PrefixFilter(tok, sim_type, t),
+            lambda l, r: oracle_prefix_tables(l, r, 'id', 'id', 's', 's',
+                                              tok, sim_type, t))
+
+
+def _position_oracle(tok, sim_type, t):
+    return (PositionFilter(tok, sim_type, t),
+            lambda l, r: oracle_position_tables(l, r, 'id', 'id', 's', 's',
+                                                tok, sim_type, t))
+
+
 @pytest.mark.parametrize('build', [
-    lambda: OverlapFilter(WhitespaceTokenizer(return_set=True), 2),
-    lambda: OverlapFilter(QgramTokenizer(qval=2, return_set=False), 2),
-    lambda: PrefixFilter(WhitespaceTokenizer(return_set=True),
-                         'JACCARD', 0.4),
-    lambda: PositionFilter(WhitespaceTokenizer(return_set=True),
-                           'COSINE', 0.6),
+    lambda: _overlap_oracle(WhitespaceTokenizer(return_set=True), 2),
+    lambda: _overlap_oracle(QgramTokenizer(qval=2, return_set=False), 2),
+    lambda: _prefix_oracle(WhitespaceTokenizer(return_set=True),
+                           'JACCARD', 0.4),
+    lambda: _position_oracle(WhitespaceTokenizer(return_set=True),
+                             'COSINE', 0.6),
 ], ids=['ov_set', 'ov_bag', 'pf_jac', 'pos_cos'])
 @settings(**_SETTINGS)
 @given(l=_table(), r=_table(), salt=st.sampled_from([10 ** 9, 2]))
 def test_np_kernel_path_equality(build, l, r, salt):
-    """Path-vs-path differential under hypothesis inputs (nulls, empties,
-    duplicate rows, tiny vocab): the numpy bucket kernel and the row-wise
-    reference path must emit identical pair multisets, salted or not."""
-    import os
-    f = build()
-    os.environ.pop('SSJ_PAIRGEN_ROWWISE', None)
-    fast = f.filter_tables(l, r, 'id', 'id', 's', 's',
-                           salt_df_threshold=salt)
-    os.environ['SSJ_PAIRGEN_ROWWISE'] = '1'
-    try:
-        slow = f.filter_tables(l, r, 'id', 'id', 's', 's',
-                               salt_df_threshold=salt)
-    finally:
-        os.environ.pop('SSJ_PAIRGEN_ROWWISE', None)
-    assert sorted(map(tuple, fast[['l_id', 'r_id']].itertuples(index=False))) \
-        == sorted(map(tuple, slow[['l_id', 'r_id']].itertuples(index=False)))
+    """Kernel-vs-oracle under hypothesis inputs (nulls, empties, duplicate
+    rows, tiny vocab): the numpy bucket kernel must emit each oracle pair
+    exactly once, salted or not."""
+    f, oracle = build()
+    out = f.filter_tables(l, r, 'id', 'id', 's', 's',
+                          salt_df_threshold=salt)
+    pairs = list(zip(out['l_id'], out['r_id']))
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == oracle(l, r)

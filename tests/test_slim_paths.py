@@ -205,40 +205,6 @@ def test_ed_ordering_auto_routes_past_partial_gate(monkeypatch):
     assert len(base) > 0
 
 
-def test_distributed_overlap_counting_matches_candgen(monkeypatch):
-    """Opt-in distributed OVERLAP counting (SSJ_DIST_OVERLAP_COUNT=1,
-    full-token postings + partial-count exchange + CountVerify) must emit
-    the identical pair set as the eligibility-pruned candgen path, in
-    BOTH the broadcast and sharded-broadcast regimes, including identity
-    pairs on a same-relation join."""
-    import numpy as np
-
-    from py_stringsimjoin_ray.pipelines.join import overlap_join
-    rng = np.random.RandomState(5)
-    words = [f'w{i}' for i in range(150)]
-    A = pd.DataFrame({'id': np.arange(400),
-                      's': [' '.join(rng.choice(words, rng.randint(2, 8)))
-                            for _ in range(400)]})
-    B = pd.DataFrame({'id': np.arange(400) + 10000, 's': A['s'].tolist()})
-    tok = WhitespaceTokenizer(return_set=True)
-
-    def canon(df):
-        return sorted(map(tuple, df[['l_id', 'r_id', '_sim_score']]
-                          .itertuples(index=False)))
-
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')
-    base2 = overlap_join(A, B, 'id', 'id', 's', 's', tok, 2)
-    base_same = overlap_join(A, A, 'id', 'id', 's', 's', tok, 2)
-    monkeypatch.setenv('SSJ_DIST_OVERLAP_COUNT', '1')
-    cnt2 = overlap_join(A, B, 'id', 'id', 's', 's', tok, 2)
-    cnt_same = overlap_join(A, A, 'id', 'id', 's', 's', tok, 2)
-    assert canon(cnt2) == canon(base2) and len(base2) > 0
-    assert canon(cnt_same) == canon(base_same)
-    monkeypatch.setenv('SSJ_BROADCAST_GATE_BYTES', '1')  # sharded regime
-    cnt2s = overlap_join(A, B, 'id', 'id', 's', 's', tok, 2)
-    assert canon(cnt2s) == canon(base2)
-
-
 def test_sharded_path_shard_count_beyond_old_cap(parts, monkeypatch):
     """Round 5: shard builders slice sig-sorted blocks, so the shard count
     scales freely (default cap 64 → 1024).  Max it out on a tiny input —
@@ -267,3 +233,27 @@ def test_candgen_parts_scale_with_sigs(parts, monkeypatch):
     many = jaccard_join(parts, parts.copy(), 'p_partkey', 'p_partkey',
                         'p_name', 'p_name', tok, 0.5)
     assert _pairs(base) == _pairs(many)
+
+
+def test_tsig_shard_builder_rejects_unsorted_block():
+    """The shard builders slice each split block by binary search; a block
+    that is not one sig-sorted run (e.g. a batching change splitting the
+    split stage's batches) must raise instead of dropping memberships."""
+    import pyarrow as pa
+
+    from py_stringsimjoin_ray.stages.slimjoin import _build_tsig_shard
+    def blk(sigs):  # membership rows only
+        return pa.table({'kind': pa.array([1, 1], pa.int8()),
+                         'sig': pa.array(sigs, pa.int64()),
+                         'side': pa.array([0, 0], pa.int8()),
+                         'key': pa.array([7, 8], pa.int64())})
+    sorted_blk, unsorted_blk = blk([1, 5]), blk([5, 1])
+    caught = 0
+    for shard in range(2):  # one builder per block runs the check
+        try:
+            _build_tsig_shard(shard, 2, True, False, sorted_blk,
+                              unsorted_blk)
+        except RuntimeError as e:
+            assert 'not sorted' in str(e)
+            caught += 1
+    assert caught == 1
