@@ -4,8 +4,9 @@ Mirrors ``/root/reference/py_stringsimjoin/filter/*.py``: each filter offers
 ``filter_pair`` (single-pair predicate, pair-local token ordering),
 ``filter_tables`` (table×table candidate generation, global ordering) and the
 inherited ``filter_candset`` (re-check a candidate set).  ``filter_tables``
-runs on the same Ray pipeline as the joins (postings shuffle +
-groupby(bucket) pair generation); ``filter_pair`` and the suffix filter's
+runs through the joins' entry point (``join.match_pairs_dataset``): the
+size-gated local route in one Ray task, else the postings shuffle +
+groupby(bucket) pair generation; ``filter_pair`` and the suffix filter's
 recursive bound are pure Python.
 """
 

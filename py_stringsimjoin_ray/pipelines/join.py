@@ -94,7 +94,9 @@ class _JoinConfig:
         self.self_join = self_join
         self.counter_name = counter_name
         self.qval = getattr(tokenizer, 'qval', None)
-        self.keep_string = sim_type == 'EDIT_DISTANCE'
+        # only EDIT_DISTANCE joins read the strings (Levenshtein verify);
+        # the candidates modes never do
+        self.keep_string = sim_type == 'EDIT_DISTANCE' and mode == 'join'
 
 
 def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
@@ -104,11 +106,13 @@ def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
     same_relation = (l_ds is r_ds and l_key_attr == r_key_attr
                      and l_join_attr == r_join_attr)
 
-    # size-gated local fast path (stages/localjoin.py): identical kernels
-    # run in-process (plain-task fan-out for big candidate sets), skipping
-    # the Dataset stage barriers that dominate small-input latency.  The
-    # probe-and-fetch is bounded (limit(cap+1)), so huge inputs pay O(cap)
-    # rows to be routed to the distributed pipeline below.
+    # size-gated local route (stages/localjoin.py), for joins and the
+    # filter_tables candidates modes: identical kernels run in-process (or
+    # in one task, for the candidates modes; plain-task fan-out for big
+    # candidate sets), skipping the Dataset stage barriers that dominate
+    # small-input latency.  The probe-and-fetch is bounded (limit(cap+1)),
+    # so huge inputs pay O(cap) rows to be routed to the distributed
+    # pipeline below.
     from ..stages.localjoin import local_join_eligible, local_match_pairs
     if local_join_eligible(l_ds, r_ds, cfg, same_relation):
         res = local_match_pairs(l_ds, r_ds, l_key_attr, r_key_attr,

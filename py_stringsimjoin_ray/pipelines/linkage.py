@@ -210,6 +210,23 @@ def _attach_components(ingest_slim, comp, num_buckets: int = 64,
     return both.groupby('bucket').map_groups(merge, batch_format='pyarrow')
 
 
+def _poll_skew(summary, polls: int = 20, wait_s: float = 0.05) -> dict:
+    """Last of up to ``polls`` ``summary()`` reads, ``wait_s`` apart.  Stops
+    once both join stages reported, or once a non-empty summary is the same
+    on two polls in a row: a stage that reports nothing (``SkewStats``
+    drops empty reports) must not hold the poll for its full length."""
+    import time
+    skew: dict = {}
+    for i in range(polls):
+        prev, skew = skew, summary()
+        if ('candgen' in skew and 'verify' in skew) \
+                or (skew and skew == prev):
+            break
+        if i + 1 < polls:
+            time.sleep(wait_s)
+    return skew
+
+
 def record_linkage(repos_path: str, checkpoint_dir: str | None = None,
                    threshold: float = 0.7, tokenizer=None,
                    num_buckets: int = 4096, salt_df_threshold: int = 300,
@@ -324,13 +341,8 @@ def _record_linkage_impl(repos_path, checkpoint_dir, threshold, tokenizer,
             if skew_actor is not None:
                 # the write above forced execution; reports are
                 # fire-and-forget, so poll briefly for in-flight adds
-                import time as _time
-                skew = {}
-                for _ in range(20):
-                    skew = ray.get(skew_actor.summary.remote())
-                    if 'candgen' in skew and 'verify' in skew:
-                        break
-                    _time.sleep(0.05)
+                skew = _poll_skew(
+                    lambda: ray.get(skew_actor.summary.remote()))
                 if skew:
                     mf.update_manifest_counters(
                         checkpoint_dir, 'matches',

@@ -1,30 +1,42 @@
-"""Size-gated local fast path for ``mode='join'``.
+"""Size-gated local route for ``mode='join'`` and the ``filter_tables``
+candidates modes.
 
 A Ray Data pipeline pays ~8 stage barriers (tokenize, vocabulary,
 signature fold, postings shuffle, candgen, verify, expand) at 0.3-0.6 s
 of fixed scheduling/exchange latency each — irrelevant at 100 TB, but it
 makes a 10k x 10k join ~30x slower than the reference's single-process
 loop (measured: 4.6 s warm vs 0.39 s).  This module runs the SAME stage
-kernels (``TokenizeStage`` -> rank lookup -> ``RankPrefixStage`` ->
-``SigStage`` -> Tsig fold -> ``SlimPostingsStage`` -> ``_np_candidates``
--> ``BroadcastVerify``) synchronously on in-memory Arrow tables, fanning
-candidate generation and verification out to plain Ray tasks when the
-work is large enough to parallelize — no Dataset machinery, so the whole
-join is kernel-bound.
+kernels on in-memory Arrow tables, fanning the heavy step out to plain
+Ray tasks when the work is large enough to parallelize — no Dataset
+machinery, so the whole call is kernel-bound:
 
-Gate: both inputs at most ``SSJ_LOCAL_MAX_ROWS`` (default 200k) total
-rows, probed at bounded cost (``len(df)`` for pandas;
-``ds.limit(cap).count()`` for Datasets — the limit early-terminates
-streaming execution, so the probe never scans more than the cap even on
-a 100 TB input).  Beyond the gate the distributed slim-postings pipeline
-(stages/slimjoin.py) runs unchanged.  ``SSJ_LOCAL_JOIN=0`` disables the
-fast path, ``=force`` takes it regardless of size (tests use both to
-pin path equivalence).
+* joins (``mode='join'``), on the driver: ``TokenizeStage`` -> rank
+  lookup -> ``RankPrefixStage`` -> ``SigStage`` -> Tsig fold ->
+  ``SlimPostingsStage`` -> ``_np_candidates`` -> ``BroadcastVerify``;
+* the candidates modes of ``Filter.filter_tables`` (prefix, position,
+  overlap), in ONE Ray task so their O(n·p) postings never
+  reach the driver: ``TokenizeStage`` -> rank lookup ->
+  ``RankPrefixStage`` -> ``PostingsStage`` -> bucket sort ->
+  ``PairGenVerify`` once per bucket, i.e. exactly the groups the Dataset
+  route's ``groupby('bucket').map_groups`` hands the kernel.  When the
+  postings would exceed the byte gate the task returns None and the
+  caller takes the Dataset route.
+
+Gate: both inputs at most ``SSJ_LOCAL_MAX_ROWS`` (default 1M) total rows
+and ``SSJ_LOCAL_MAX_BYTES`` (default 128 MB) of fetched payload, probed
+at bounded cost (``len(df)`` for pandas; ``ds.limit(cap)`` for Datasets —
+the limit early-terminates streaming execution, so the probe never scans
+more than the cap even on a 100 TB input).  Beyond the gate the Dataset
+pipeline runs unchanged.  ``SSJ_LOCAL_JOIN=0`` disables the local route,
+``=force`` takes it regardless of size (tests use both to pin route
+equivalence).
 
 Output parity: candidate recall is guaranteed for ANY consistent global
-token order by prefix-filter theory (verification is exact), and
-EDIT_DISTANCE — whose approximate recall DOES depend on the order —
-uses the same (count asc, token asc) ordering as the distributed path's
+token order by prefix-filter theory (verification is exact), so set
+measure joins break count ties by token hash; EDIT_DISTANCE joins — whose
+approximate recall DOES depend on the order — and the candidates modes,
+whose output IS the order-dependent candidate set, use the same
+(count asc, token asc) ordering as the Dataset route's
 ``make_rank_lookup(tie='token')``.
 """
 
@@ -40,7 +52,9 @@ import pyarrow.compute as pc
 import ray
 
 from ..core.comp_ops import COMP_OP_MAP
-from .postings import RankPrefixStage, heavy_token_table, make_rank_lookup
+from .pairgen import PairGenVerify
+from .postings import (PostingsStage, RankPrefixStage, heavy_token_table,
+                       make_rank_lookup)
 from .slimjoin import (BroadcastVerify, SigStage, SlimPostingsStage,
                        _np_candidates, _TsigBroadcast)
 from .tokenize import TokenizeStage, partial_token_counts
@@ -63,10 +77,9 @@ _FANOUT_WORK = 5_000_000
 
 
 def local_join_eligible(ltable, rtable, cfg, same_relation: bool) -> bool:
-    """Flag/mode gate only — the size gate lives in ``_fetch_local``, which
-    probes and materializes in the same bounded pass."""
-    if cfg.mode != 'join':
-        return False
+    """Flag gate only (joins and the candidates modes alike) — the size
+    gate lives in ``_fetch_local``, which probes and materializes in the
+    same bounded pass."""
     flag = os.environ.get('SSJ_LOCAL_JOIN', '1')
     if flag == '0':
         return False
@@ -177,10 +190,10 @@ def _local_empties(cfg, tok_l: pa.Table, tok_r: pa.Table) -> dict:
 
 
 def _local_lut(tok_tables: list, cfg):
-    """Vocabulary + ordering artifact, built in-process.  Set measures use
-    the hash tie-break (any consistent order is exact under verification);
-    EDIT_DISTANCE keeps the reference's (count, token) order, which its
-    approximate recall depends on."""
+    """Vocabulary + ordering artifact, built in-process.  Set-measure joins
+    use the hash tie-break (any consistent order is exact under
+    verification); EDIT_DISTANCE joins and the candidates modes keep the
+    reference's (count, token) order, which their output depends on."""
     parts = [partial_token_counts(t) for t in tok_tables if len(t)]
     parts = [p for p in parts if len(p)]
     if not parts:
@@ -189,7 +202,8 @@ def _local_lut(tok_tables: list, cfg):
     merged = pa.concat_tables(parts)
     agg = merged.group_by('token').aggregate([('partial', 'sum')])
     freq = pa.table({'token': agg['token'], 'count': agg['partial_sum']})
-    tie = 'token' if cfg.sim_type == 'EDIT_DISTANCE' else 'hash'
+    tie = ('hash' if cfg.mode == 'join' and cfg.sim_type != 'EDIT_DISTANCE'
+           else 'token')
     lut = make_rank_lookup(freq, tie=tie)
     heavy = heavy_token_table(freq, lut, cfg.salt_df_threshold)
     tot = int(pc.sum(freq['count']).as_py() or 0)
@@ -517,6 +531,119 @@ def _overlap_count_pairs(bc, cfg, same_relation: bool) -> pd.DataFrame:
     return df
 
 
+def _bucket_chunks(buckets: np.ndarray, cpus: int, min_postings: int,
+                   min_work: int):
+    """Fan-out plan over whole buckets: ``(ntasks, task index per
+    posting)``, or None when the work stays in one process (one CPU, or at
+    most ``min_postings`` postings and ``min_work`` pair tests).  Greedy
+    LPT: heaviest buckets first into the lightest task bin, so one dense
+    bucket can't serialize the whole fan-out."""
+    if cpus <= 1:
+        return None
+    uniq, counts = np.unique(buckets, return_counts=True)
+    work = counts.astype(np.int64) ** 2  # per-bucket pair-test upper bound
+    if len(buckets) <= min_postings and int(work.sum()) <= min_work:
+        return None
+    ntasks = min(cpus, len(uniq))
+    bins = np.zeros(ntasks, np.int64)
+    assign = np.empty(len(uniq), np.int32)
+    for i in np.argsort(work)[::-1]:
+        j = int(np.argmin(bins))
+        bins[j] += work[i]
+        assign[i] = j
+    return ntasks, assign[np.searchsorted(uniq, buckets)]
+
+
+def _tokenize_sides(arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr,
+                    r_join_attr, cfg):
+    """(tok_l, tok_r); ``arr_r is None`` means the same relation, which is
+    tokenized once."""
+    tok_l = TokenizeStage(l_key_attr, l_join_attr, cfg.tokenizer,
+                          keep_string=cfg.keep_string)(arr_l)
+    if arr_r is None:
+        return tok_l, tok_l
+    return tok_l, TokenizeStage(r_key_attr, r_join_attr, cfg.tokenizer,
+                                keep_string=cfg.keep_string)(arr_r)
+
+
+def _pairgen_buckets(postings: pa.Table, pair_fn) -> list:
+    """Non-empty outputs of ``pair_fn`` run once per bucket of ``postings``
+    — the groups ``postings.groupby('bucket').map_groups(pair_fn)`` would
+    form."""
+    order = np.argsort(postings['bucket'].to_numpy(), kind='stable')
+    postings = postings.take(pa.array(order))
+    _, starts = np.unique(postings['bucket'].to_numpy(), return_index=True)
+    ends = np.append(starts[1:], len(order))
+    frames = [pair_fn(postings.slice(a, b - a)) for a, b in zip(starts, ends)]
+    return [f for f in frames if len(f)]
+
+
+def _local_candidates(arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr,
+                      r_join_attr, cfg, byte_cap: int, fanout: tuple):
+    """Candidates-mode body (prefix / position / overlap) → (pairs, empties),
+    or None when the postings would exceed ``byte_cap`` (the caller then
+    takes the Dataset route).  Same stages, salting, side rule and bucket
+    count as ``join.match_pairs_dataset``; the bucket groups run through
+    ``PairGenVerify`` in process, or in up to ``cpus`` plain tasks past the
+    ``fanout`` = (postings, pair tests) thresholds, which the caller reads
+    from this module in its own process.  ``arr_r is None`` means the same
+    relation."""
+    same_relation = arr_r is None
+    tok_l, tok_r = _tokenize_sides(arr_l, arr_r, l_key_attr, r_key_attr,
+                                   l_join_attr, r_join_attr, cfg)
+    empties = _local_empties(cfg, tok_l, tok_r)
+    lut, heavy, _tot = _local_lut([tok_l] if same_relation else
+                                  [tok_l, tok_r], cfg)
+    # overlap_candidates posts every token: OVERLAP_COEFFICIENT's prefix is
+    # the whole token list
+    prefix_type = ('OVERLAP_COEFFICIENT' if cfg.mode == 'overlap_candidates'
+                   else cfg.sim_type)
+    rp = RankPrefixStage(lut, prefix_type, cfg.threshold, cfg.qval,
+                         keep_string=cfg.keep_string)
+    ranked_l = rp(tok_l)
+    ranked_r = ranked_l if same_relation else rp(tok_r)
+    # self-relation inputs post each record once (every class acts as both
+    # sides), except position_candidates
+    single_side = same_relation and cfg.mode != 'position_candidates'
+    sides = [ranked_l] if single_side else [ranked_l, ranked_r]
+
+    # each posting carries its record's whole rank array: O(n·p) bytes
+    est = 0
+    for t in sides:
+        sz = t['sz'].to_numpy().astype(np.int64)
+        plen = np.minimum(t['plen'].to_numpy().astype(np.int64), sz)
+        est += int((plen * (4 * sz + 40)).sum())
+    if est > byte_cap:
+        return None
+
+    cpus = int(ray.cluster_resources().get('CPU', 8))
+    rows = sum(len(t) for t in sides)
+    nb = int(min(cfg.num_buckets, max(32, cpus * 4, rows // 400)))
+    postings = pa.concat_tables([
+        PostingsStage(side, nb, heavy or None, cfg.keep_string,
+                      same_relation=single_side)(t)
+        for side, t in enumerate(sides)])
+    pair_fn = PairGenVerify(cfg.sim_type, cfg.threshold, cfg.comp_op,
+                            qval=cfg.qval, mode=cfg.mode,
+                            same_relation=single_side)
+    chunks = _bucket_chunks(postings['bucket'].to_numpy(), cpus, *fanout)
+    if chunks is None:
+        frames = _pairgen_buckets(postings, pair_fn)
+    else:
+        ntasks, chunk_of = chunks
+        refs = [_PAIRGEN_TASK.remote(
+            postings.filter(pa.array(chunk_of == i)), pair_fn)
+            for i in range(ntasks)]
+        frames = [f for part in ray.get(refs) for f in part]
+    pairs = (pd.concat(frames, ignore_index=True) if frames
+             else pair_fn._empty_frame())
+    return pairs, empties
+
+
+_CANDIDATES_TASK = ray.remote(num_cpus=1)(_local_candidates)
+_PAIRGEN_TASK = ray.remote(num_cpus=1)(_pairgen_buckets)
+
+
 def _verify_chunk(bc_or_ref, pair64: np.ndarray, sim_type, threshold,
                   comp_op, qval, same_relation, self_join,
                   counter_name, skew_name=None) -> pd.DataFrame:
@@ -533,33 +660,35 @@ def _verify_chunk(bc_or_ref, pair64: np.ndarray, sim_type, threshold,
 def local_match_pairs(ltable, rtable, l_key_attr, r_key_attr,
                       l_join_attr, r_join_attr, cfg,
                       same_relation: bool):
-    """In-process join body → (pairs DataFrame, empties dict), or None when
-    either input exceeds the size gate (caller falls through to the
-    distributed pipeline).  Exact-same kernels and therefore exact-same
-    output as the distributed pipeline (pinned by tests/test_local_join.py
-    against SSJ_LOCAL_JOIN=0 runs)."""
+    """Local body → (pairs DataFrame, empties dict), or None when either
+    input exceeds the size gate (caller falls through to the Dataset
+    pipeline).  Joins run in-process; the candidates modes run in one Ray
+    task (``_local_candidates``).  Exact-same kernels and therefore
+    exact-same output as the Dataset pipeline (pinned by
+    tests/test_local_join.py and tests/test_local_filters.py against
+    SSJ_LOCAL_JOIN=0 runs)."""
     cap = _local_row_cap()
     byte_cap = _local_byte_cap()
     arr_l = _fetch_local(ltable, [l_key_attr, l_join_attr], cap, byte_cap)
     if arr_l is None:
         return None
-    if same_relation:
-        arr_r = arr_l
-    else:
+    arr_r = None  # the same relation
+    if not same_relation:
         arr_r = _fetch_local(rtable, [r_key_attr, r_join_attr],
                              cap - len(arr_l), byte_cap - arr_l.nbytes)
         if arr_r is None:
             return None
-    keep_string = cfg.keep_string
-    tok_l = TokenizeStage(l_key_attr, l_join_attr, cfg.tokenizer,
-                          keep_string=keep_string)(arr_l)
-    if same_relation:
-        tok_r = tok_l
-    else:
-        tok_r = TokenizeStage(r_key_attr, r_join_attr, cfg.tokenizer,
-                              keep_string=keep_string)(arr_r)
+    if cfg.mode != 'join':
+        # the candidates body runs in one task: its O(n·p) postings never
+        # reach the driver
+        return ray.get(_CANDIDATES_TASK.remote(
+            arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr, r_join_attr,
+            cfg, byte_cap, (_FANOUT_POSTINGS, _FANOUT_WORK)))
+    tok_l, tok_r = _tokenize_sides(arr_l, arr_r, l_key_attr, r_key_attr,
+                                   l_join_attr, r_join_attr, cfg)
     empties = _local_empties(cfg, tok_l, tok_r)
 
+    keep_string = cfg.keep_string
     lut, heavy, _tot = _local_lut([tok_l] if same_relation else
                                   [tok_l, tok_r], cfg)
     rp = RankPrefixStage(lut, cfg.sim_type, cfg.threshold, cfg.qval,
@@ -586,21 +715,10 @@ def local_match_pairs(ltable, rtable, l_key_attr, r_key_attr,
 
     cpus = int(ray.cluster_resources().get('CPU', 8)) \
         if ray.is_initialized() else 0
-    buckets = postings['bucket'].to_numpy()
-    uniq, counts = np.unique(buckets, return_counts=True)
-    work = counts.astype(np.int64) ** 2  # per-bucket pair-test upper bound
-    if cpus > 1 and (len(postings) > _FANOUT_POSTINGS
-                     or int(work.sum()) > _FANOUT_WORK):
-        # greedy LPT: heaviest buckets first into the lightest task bin, so
-        # one dense bucket can't serialize the whole fan-out
-        ntasks = min(cpus, len(uniq))
-        bins = np.zeros(ntasks, np.int64)
-        assign = np.empty(len(uniq), np.int32)
-        for i in np.argsort(work)[::-1]:
-            j = int(np.argmin(bins))
-            bins[j] += work[i]
-            assign[i] = j
-        chunk_of = assign[np.searchsorted(uniq, buckets)]
+    chunks = _bucket_chunks(postings['bucket'].to_numpy(), cpus,
+                            _FANOUT_POSTINGS, _FANOUT_WORK)
+    if chunks is not None:
+        ntasks, chunk_of = chunks
         rem = ray.remote(num_cpus=1)(_candgen_chunk)
         refs = [rem.remote(postings.filter(pa.array(chunk_of == i)),
                            cfg.sim_type, cfg.threshold, same_relation,

@@ -1,8 +1,11 @@
 """Per-bucket candidate generation for the ``filter_tables`` candidates
 modes.
 
-Runs inside ``postings.groupby("bucket").map_groups(...)`` — the single
-all-to-all exchange of ``Filter.filter_tables``.  Re-expresses the probe
+Runs once per shuffle bucket: inside ``postings.groupby("bucket")
+.map_groups(...)`` — the single all-to-all exchange of
+``Filter.filter_tables`` — on the Dataset route, or over the same bucket
+groups of an in-memory postings table on the local route
+(``stages/localjoin._local_candidates``).  Re-expresses the probe
 loops of the reference's ``filter/position_filter.py:307-366`` (position
 filter), ``filter/prefix_filter.py:293-309`` (prefix filter) and
 ``filter/overlap_filter.py:256-267`` (full inverted index) in

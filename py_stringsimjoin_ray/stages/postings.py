@@ -482,7 +482,11 @@ class PostingsStage:
     'position_candidates'`` — ``Filter.filter_tables``), whose contract is
     the exact reference pair set of one named filter, and whose kernels
     need both rank arrays per pair.  It carries each record's rank array
-    on every posting (O(n·p) payload per record).  The JOIN core — the
+    on every posting (O(n·p) payload per record).  Inputs under the local
+    gate build the postings inside one Ray task
+    (``stages/localjoin._local_candidates``), with no shuffle, and fall
+    back to the ``groupby('bucket')`` Dataset route when the estimated
+    posting bytes exceed ``SSJ_LOCAL_MAX_BYTES``.  The JOIN core — the
     100-TB path — does NOT use it: ``mode='join'`` routes through
     ``stages/slimjoin.py`` (16–26 B rank-free postings, signature dedup,
     broadcast/sharded verify-time attach).  Pipelines that must block at
@@ -518,8 +522,9 @@ class PostingsStage:
         reps = np.minimum(plen, (offsets[1:] - offsets[:-1])).astype(np.int64)
         row_idx = np.repeat(np.arange(nrows), reps)
         starts = np.repeat(offsets[:-1], reps)
+        # cumsum - reps: each row's first output slot (also for 0 rows)
         pos = (np.arange(len(row_idx)) -
-               np.repeat(np.concatenate(([0], np.cumsum(reps)[:-1])), reps)).astype(np.int32)
+               np.repeat(np.cumsum(reps) - reps, reps)).astype(np.int32)
         tok = flat[starts + pos]
 
         bucket = bucket_of(tok, self.num_buckets).astype(np.int64)

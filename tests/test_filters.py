@@ -17,6 +17,22 @@ from py_stringsimjoin_ray.core.ordering import (apply_ordering,
 
 WS = WhitespaceTokenizer(return_set=True)
 
+# filter_tables routes: the local route (one Ray task) and the Dataset route
+# (PostingsStage + groupby('bucket') shuffle); small inputs take the local
+# route by default, so the oracle tests pin both explicitly
+ROUTES = ('force', '0')
+
+
+@pytest.fixture
+def each_route(monkeypatch):
+    """``for route in each_route(): ...`` runs the loop body once per
+    ``SSJ_LOCAL_JOIN`` route, with the variable set."""
+    def routes():
+        for route in ROUTES:
+            monkeypatch.setenv('SSJ_LOCAL_JOIN', route)
+            yield route
+    return routes
+
 
 # ------------------------------------------------------------------ oracles
 
@@ -214,16 +230,18 @@ class TestFilterPair:
 @pytest.mark.parametrize('sim_type,threshold', [
     ('JACCARD', 0.3), ('JACCARD', 0.7), ('COSINE', 0.5), ('DICE', 0.6),
 ])
-def test_position_filter_tables(person_tables, sim_type, threshold):
+def test_position_filter_tables(person_tables, each_route, sim_type,
+                                threshold):
     A, B = person_tables
     f = PositionFilter(WhitespaceTokenizer(return_set=True), sim_type, threshold)
-    out = f.filter_tables(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name')
     exp = oracle_position_tables(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name',
                                  WhitespaceTokenizer(return_set=True),
                                  sim_type, threshold)
-    got = set(zip(out['l_A.ID'], out['r_B.ID']))
-    assert got == exp, got ^ exp
-    assert list(out.columns) == ['_id', 'l_A.ID', 'r_B.ID']
+    for route in each_route():
+        out = f.filter_tables(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name')
+        got = set(zip(out['l_A.ID'], out['r_B.ID']))
+        assert got == exp, (route, got ^ exp)
+        assert list(out.columns) == ['_id', 'l_A.ID', 'r_B.ID']
 
 
 @pytest.mark.parametrize('sim_type,threshold,tok', [
@@ -231,41 +249,45 @@ def test_position_filter_tables(person_tables, sim_type, threshold):
     ('DICE', 0.7, WhitespaceTokenizer(return_set=True)),
     ('JACCARD', 0.5, QgramTokenizer(qval=2, return_set=True)),
 ])
-def test_prefix_filter_tables(person_tables, sim_type, threshold, tok):
+def test_prefix_filter_tables(person_tables, each_route, sim_type, threshold,
+                              tok):
     A, B = person_tables
     f = PrefixFilter(tok, sim_type, threshold)
-    out = f.filter_tables(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name')
     exp = oracle_prefix_tables(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name', tok,
                                sim_type, threshold)
-    assert set(zip(out['l_A.ID'], out['r_B.ID'])) == exp
+    for route in each_route():
+        out = f.filter_tables(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name')
+        assert set(zip(out['l_A.ID'], out['r_B.ID'])) == exp, route
 
 
 @pytest.mark.parametrize('k,comp', [(1, '>='), (2, '>='), (1, '=')])
-def test_overlap_filter_tables(person_tables, k, comp):
+def test_overlap_filter_tables(person_tables, each_route, k, comp):
     A, B = person_tables
     tok = WhitespaceTokenizer(return_set=True)
     f = OverlapFilter(tok, k, comp)
-    out = f.filter_tables(A, B, 'A.ID', 'B.ID', 'A.address', 'B.address',
-                          out_sim_score=True)
     exp = oracle_overlap_tables(A, B, 'A.ID', 'B.ID', 'A.address',
                                 'B.address', tok, k, comp)
-    got = {(l, r): s for l, r, s in
-           zip(out['l_A.ID'], out['r_B.ID'], out['_sim_score'])}
-    assert got == exp
+    for route in each_route():
+        out = f.filter_tables(A, B, 'A.ID', 'B.ID', 'A.address', 'B.address',
+                              out_sim_score=True)
+        got = {(l, r): s for l, r, s in
+               zip(out['l_A.ID'], out['r_B.ID'], out['_sim_score'])}
+        assert got == exp, route
 
 
-def test_overlap_filter_tables_bag_tokenizer(person_tables):
+def test_overlap_filter_tables_bag_tokenizer(person_tables, each_route):
     """Bag tokenizer → inverted-index probe counts occurrence products."""
     A, B = person_tables
     tok = QgramTokenizer(qval=2, return_set=False)
     f = OverlapFilter(tok, 3)
-    out = f.filter_tables(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name',
-                          out_sim_score=True)
     exp = oracle_overlap_tables(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name',
                                 tok, 3, '>=')
-    got = {(l, r): s for l, r, s in
-           zip(out['l_A.ID'], out['r_B.ID'], out['_sim_score'])}
-    assert got == exp
+    for route in each_route():
+        out = f.filter_tables(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name',
+                              out_sim_score=True)
+        got = {(l, r): s for l, r, s in
+               zip(out['l_A.ID'], out['r_B.ID'], out['_sim_score'])}
+        assert got == exp, route
 
 
 @pytest.mark.parametrize('sim_type,threshold', [
@@ -356,14 +378,15 @@ def test_filter_candset(person_tables):
     assert list(out.columns) == list(cand.columns)
 
 
-def test_allow_missing_filter_tables(person_tables):
+def test_allow_missing_filter_tables(person_tables, each_route):
     A, B = person_tables
     tok = WhitespaceTokenizer(return_set=True)
     f = PositionFilter(tok, 'JACCARD', 0.8, allow_missing=True)
-    out = f.filter_tables(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name')
-    got = set(zip(out['l_A.ID'], out['r_B.ID']))
-    for bid in B['B.ID']:
-        assert ('a7', bid) in got
+    for route in each_route():
+        out = f.filter_tables(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name')
+        got = set(zip(out['l_A.ID'], out['r_B.ID']))
+        for bid in B['B.ID']:
+            assert ('a7', bid) in got, route
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +460,7 @@ def test_size_filter_overlap_short_probe(ray_session):
     assert f.filter_pair('a b c d e', 'a b') is True  # True = filtered OUT
 
 
-def test_prefix_filter_edit_distance_unverified(ray_session):
+def test_prefix_filter_edit_distance_unverified(ray_session, each_route):
     """PrefixFilter with EDIT_DISTANCE emits every prefix-sharing candidate
     UNVERIFIED (reference semantics) — close pairs must not be dropped by
     an accidental >= comparison on the distance."""
@@ -445,13 +468,14 @@ def test_prefix_filter_edit_distance_unverified(ray_session):
                                             'abcde']})
     tok = QgramTokenizer(qval=2, return_set=True)
     f = PrefixFilter(tok, 'EDIT_DISTANCE', 2)
-    out = f.filter_tables(A, A.copy(), 'id', 'id', 's', 's')
-    pairs = set(zip(out['l_id'], out['r_id']))
-    # identical strings (distance 0) and distance-1 neighbors present
-    assert (0, 3) in pairs and (0, 1) in pairs and (0, 0) in pairs
     exp = oracle_prefix_tables(A, A.copy(), 'id', 'id', 's', 's', tok,
                                'EDIT_DISTANCE', 2)
-    assert pairs == exp
+    for route in each_route():
+        out = f.filter_tables(A, A.copy(), 'id', 'id', 's', 's')
+        pairs = set(zip(out['l_id'], out['r_id']))
+        # identical strings (distance 0) and distance-1 neighbors present
+        assert (0, 3) in pairs and (0, 1) in pairs and (0, 0) in pairs, route
+        assert pairs == exp, route
 
 
 def test_filter_candset_forced_distributed_equality(person_tables):
@@ -523,23 +547,25 @@ def test_size_index_shim_reference_behavior():
     assert f.find_candidates(2, idx) == {0, 1, 3}
 
 
-def test_filter_tables_dataset_output(person_tables):
+def test_filter_tables_dataset_output(person_tables, each_route):
     """filter_tables(output='dataset') keeps the candset distributed with
     the same pair classes as the pandas surface (incl. allow_empty)."""
     import ray.data
     A, B = person_tables
     tok = WhitespaceTokenizer(return_set=True)
-    for f in (OverlapFilter(tok, 1),
-              PrefixFilter(tok, 'JACCARD', 0.3),
-              PositionFilter(tok, 'JACCARD', 0.3),
-              SizeFilter(tok, 'JACCARD', 0.5)):
-        base = f.filter_tables(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name')
-        ds = f.filter_tables(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name',
-                             output='dataset')
-        assert isinstance(ds, ray.data.Dataset), type(f).__name__
-        got = ds.to_pandas()
-        assert set(zip(got['l_key'], got['r_key'])) \
-            == set(zip(base['l_A.ID'], base['r_B.ID'])), type(f).__name__
+    for route in each_route():
+        for f in (OverlapFilter(tok, 1),
+                  PrefixFilter(tok, 'JACCARD', 0.3),
+                  PositionFilter(tok, 'JACCARD', 0.3),
+                  SizeFilter(tok, 'JACCARD', 0.5)):
+            name = (route, type(f).__name__)
+            base = f.filter_tables(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name')
+            ds = f.filter_tables(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name',
+                                 output='dataset')
+            assert isinstance(ds, ray.data.Dataset), name
+            got = ds.to_pandas()
+            assert set(zip(got['l_key'], got['r_key'])) \
+                == set(zip(base['l_A.ID'], base['r_B.ID'])), name
 
 
 def test_suffix_filter_tables_broadcast_gate(person_tables, monkeypatch):

@@ -181,3 +181,40 @@ def test_skew_counters_in_matches_manifest(corpus, tmp_path, monkeypatch):
     assert c['skew_verify_skew_ratio'] >= 1.0
     assert res['counters']['skew']['verify']['total'] \
         == c['skew_verify_total']
+
+
+def _stub_summaries(seq):
+    """summary() stub returning ``seq`` item by item (its last item after
+    that) and counting the reads."""
+    calls = []
+
+    def summary():
+        calls.append(1)
+        return seq[min(len(calls), len(seq)) - 1]
+    return summary, calls
+
+
+def test_skew_poll_stops_on_stable_summary(monkeypatch):
+    """A run whose verify stage reports nothing never gains a 'verify' key:
+    the poll stops once the non-empty summary repeats, not after all 20
+    reads."""
+    import time
+
+    from py_stringsimjoin_ray.pipelines.linkage import _poll_skew
+    sleeps = []
+    monkeypatch.setattr(time, 'sleep', sleeps.append)
+    cand = {'candgen': {'tasks': 1, 'total': 3, 'max_task': 3,
+                        'skew_ratio': 1.0}}
+    grown = {'candgen': dict(cand['candgen'], tasks=2, total=5)}
+    summary, calls = _stub_summaries([{}, cand, grown, grown])
+    assert _poll_skew(summary) == grown
+    assert len(calls) == 4 and len(sleeps) == 3
+    # both stages present: the first read is final
+    both = dict(cand, verify=cand['candgen'])
+    summary, calls = _stub_summaries([both])
+    assert _poll_skew(summary) == both and len(calls) == 1
+    # nothing reported at all: every read is made, with no trailing wait
+    sleeps.clear()
+    summary, calls = _stub_summaries([{}])
+    assert _poll_skew(summary) == {}
+    assert len(calls) == 20 and len(sleeps) == 19

@@ -190,7 +190,12 @@ def test_gate_routing(monkeypatch, ray_session):
     monkeypatch.setenv('SSJ_FORCE_DISTRIBUTED', '1')
     assert not localjoin.local_join_eligible(small, small, cfg, True)
     monkeypatch.delenv('SSJ_FORCE_DISTRIBUTED')
-    cfg.mode = 'overlap_candidates'
+    # the filter_tables candidates modes share the gate
+    for mode in ('prefix_candidates', 'position_candidates',
+                 'overlap_candidates'):
+        cfg.mode = mode
+        assert localjoin.local_join_eligible(small, small, cfg, True)
+    monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')
     assert not localjoin.local_join_eligible(small, small, cfg, True)
 
 
