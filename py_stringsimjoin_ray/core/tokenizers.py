@@ -132,6 +132,27 @@ class Tokenizer:
         return lists
 
 
+def has_arrow_kernel(tokenizer) -> bool:
+    """Whether ``tokenizer.tokenize_arrow`` gives the tokens its
+    ``tokenize`` gives.  A subclass that overrides ``tokenize`` (the
+    reference's tokenizer contract) or ``_raw_tokenize`` below the class
+    whose Arrow kernel it inherits would have that kernel ignore the
+    override, or raise ``NotImplementedError`` on the base class, so it
+    tokenizes one string at a time instead."""
+    if not hasattr(tokenizer, 'tokenize_arrow'):
+        return False
+    if not isinstance(tokenizer, Tokenizer):
+        return True
+    mro = type(tokenizer).__mro__
+
+    def owner(name):  # MRO position of the defining class (0 = own class)
+        return next(i for i, k in enumerate(mro) if name in vars(k))
+    if owner('tokenize_arrow') != owner('tokenize'):
+        return owner('tokenize_arrow') < owner('tokenize')
+    raw_arrow = owner('_raw_tokenize_arrow')
+    return mro[raw_arrow] is Tokenizer or raw_arrow <= owner('_raw_tokenize')
+
+
 class WhitespaceTokenizer(Tokenizer):
     """Split on runs of whitespace (``str.split()`` semantics)."""
 

@@ -7,10 +7,15 @@ splits the candset across joblib workers and copies both full tables into
 each, ``apply_matcher.py:196-229, 254-260``).  The two tables' (key →
 match/output attrs) projections attach per batch through
 ``stages/attach.py``: broadcast via ``ray.put`` when they fit the
-object-store gate, bucketed hash-shuffle attach beyond it.  The
-user-supplied
-``sim_function`` and tokenizer ride along as serialized state (Ray's
-cloudpickle replaces the reference's copyreg hooks, ``utils/pickle.py``).
+object-store gate, bucketed hash-shuffle attach beyond it.  A pandas
+candset with a pandas result, no checkpoint and both sides broadcast
+builds no Dataset at all: the same batch body scores the whole frame in one
+plain ``num_cpus=1`` Ray task (``attach.broadcast_map``), as the reference
+scores an ``n_jobs=1`` candset in-process, so the call pays neither Ray
+Data's executor start nor, first in a session, its stats actor.  The
+user-supplied ``sim_function`` and tokenizer ride along as serialized
+state (Ray's cloudpickle replaces the reference's copyreg hooks,
+``utils/pickle.py``).
 
 ``output='pandas'`` (default) returns the reference-parity DataFrame with
 the candset ``_id`` preserved; ``output='dataset'`` returns the same rows as
@@ -21,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
@@ -28,7 +35,9 @@ import ray.data
 from ..core import measures
 from ..core import validation as V
 from ..core.comp_ops import COMP_OP_MAP
-from ..stages.attach import bucketed_attach, plan_side
+from ..core.tokenizers import has_arrow_kernel
+from ..stages.attach import (arrow_schema_of, broadcast_map,
+                             bucketed_attach, plan_side)
 from .join import _remove_redundant_attrs, _to_dataset, output_header
 
 # sim functions the engine can score with its own vectorized token-set
@@ -58,11 +67,46 @@ def _gather_csr(flat: np.ndarray, off: np.ndarray, codes: np.ndarray,
     return flat[idx], ln
 
 
+def _token_ids(strings: np.ndarray, tokenizer):
+    """Each string's DISTINCT tokens as int ids, CSR by string →
+    (flat ids, per-string counts, vocabulary size).  Tokenizers with an
+    Arrow kernel (``has_arrow_kernel``, the rule of ``TokenizeStage``) split
+    every string in one call; ids come from one dictionary encode and the
+    repeats within a string drop with one ``np.unique`` over
+    ``row * V + id`` (rows then hold their ids sorted, which no set
+    measure sees).  Other tokenizers, and values Arrow cannot take as
+    strings, tokenize one string at a time."""
+    if has_arrow_kernel(tokenizer):
+        try:
+            col = pa.array(strings)
+        except (pa.ArrowInvalid, pa.ArrowTypeError):  # mixed value types
+            col = None
+        # non-string values take the per-string path, which raises
+        if col is not None and pa.types.is_string(col.type):
+            lists = tokenizer.tokenize_arrow(col)
+            enc = pc.dictionary_encode(lists.flatten())
+            V_ = max(1, len(enc.dictionary))
+            row = pc.list_parent_indices(lists).to_numpy().astype(np.int64)
+            key = np.unique(row * V_ + enc.indices.to_numpy())
+            lens = np.bincount(key // V_, minlength=len(strings))
+            return key % V_, lens, V_
+    tok_lists = [list(dict.fromkeys(tokenizer.tokenize(s)))
+                 for s in strings]
+    lens = np.fromiter((len(t) for t in tok_lists), np.int64,
+                       len(tok_lists))
+    if not lens.sum():
+        return np.empty(0, np.int64), lens, 1
+    flat_tokens = np.concatenate(
+        [np.asarray(t, dtype=object) for t in tok_lists if t])
+    ids_flat, uniq_tokens = pd.factorize(flat_tokens)
+    return ids_flat.astype(np.int64), lens, max(1, len(uniq_tokens))
+
+
 def _bulk_set_scores(lv: np.ndarray, rv: np.ndarray, tokenizer,
                      sim_type: str) -> np.ndarray:
     """Score every (lv[i], rv[i]) string pair with the engine's set-measure
-    semantics, fully vectorized: tokenize each DISTINCT string once,
-    factorize tokens to int ids, dedup distinct (l, r) value pairs, then
+    semantics, fully vectorized: tokenize each DISTINCT string once into
+    int token ids (``_token_ids``), dedup distinct (l, r) value pairs, then
     count per-pair shared tokens with one key sort (each token id appears
     at most twice per pair since per-string ids are unique)."""
     # hash-based factorize (O(N)) — np.unique would SORT the strings,
@@ -71,21 +115,9 @@ def _bulk_set_scores(lv: np.ndarray, rv: np.ndarray, tokenizer,
     codes = codes.astype(np.int64)
     all_str = np.asarray(all_str, dtype=object)
     lcodes, rcodes = codes[:len(lv)], codes[len(lv):]
-    # one tokenize per distinct string; per-string set semantics
-    tok_lists = [list(dict.fromkeys(tokenizer.tokenize(s)))
-                 for s in all_str]
-    lens = np.fromiter((len(t) for t in tok_lists), np.int64,
-                       len(tok_lists))
+    ids_flat, lens, V_ = _token_ids(all_str, tokenizer)
     off = np.concatenate(([0], np.cumsum(lens)[:-1])) if len(lens) \
         else np.empty(0, np.int64)
-    if lens.sum():
-        flat_tokens = np.concatenate(
-            [np.asarray(t, dtype=object) for t in tok_lists if t])
-        ids_flat, uniq_tokens = pd.factorize(flat_tokens)
-        ids_flat = ids_flat.astype(np.int64)
-        V_ = max(1, len(uniq_tokens))
-    else:
-        ids_flat, V_ = np.empty(0, np.int64), 1
 
     nD = np.int64(max(1, len(all_str)))
     pkey = lcodes.astype(np.int64) * nD + rcodes.astype(np.int64)
@@ -280,16 +312,10 @@ def apply_matcher(candset, candset_l_key_attr, candset_r_key_attr,
 
     lmode, lside = plan_side(ltable, l_key_attr, l_need)
     rmode, rside = plan_side(rtable, r_key_attr, r_need)
-    cand_ds = _to_dataset(candset)
 
     if lmode == 'broadcast' and rmode == 'broadcast':
-        l_ref, r_ref = ray.put(lside), ray.put(rside)
-
-        def score_batch(batch: pd.DataFrame) -> pd.DataFrame:
-            # a plain task fetching the side frames once per block
-            # (batch_size=None): an actor pool costs seconds of start-up
-            # and keeps its CPU until the driver garbage-collects it
-            lt, rt = ray.get(l_ref), ray.get(r_ref)
+        def score_batch(batch: pd.DataFrame, lt: pd.DataFrame,
+                        rt: pd.DataFrame) -> pd.DataFrame:
             # one vectorized positional gather per side instead of a
             # pandas label lookup per pair
             li = lt.index.get_indexer(batch[candset_l_key_attr])
@@ -310,13 +336,17 @@ def apply_matcher(candset, candset_l_key_attr, candset_r_key_attr,
                         {a: rt[a].to_numpy()[ri]
                          for a in (r_out_attrs or [])})
         score_batch.__name__ = 'apply_matcher'
-        scored = cand_ds.map_batches(score_batch, batch_format='pandas',
-                                     batch_size=None)
+        if (isinstance(candset, pd.DataFrame) and output == 'pandas'
+                and ckpt_fp is None):
+            # the whole frame in one plain task: no Dataset, no executor
+            return broadcast_map(candset, score_batch, lside, rside)
+        scored = broadcast_map(_to_dataset(candset), score_batch, lside,
+                               rside)
     else:
         # beyond-gate regime: bucketed hash-shuffle attach of the side
         # projections onto the candset stream (stages/attach.py); missing
         # candset keys raise inside the attach groups (KeyError parity)
-        from ..stages.attach import arrow_schema_of
+        cand_ds = _to_dataset(candset)
         cand_schema = arrow_schema_of(cand_ds)
         if cand_schema is None:  # empty candset lost its schema
             empty = pd.DataFrame({c: [] for c in out_cols})

@@ -1,14 +1,19 @@
 """Gated side-table attach for candset-streaming operators.
 
 ``apply_matcher`` and ``Filter.filter_candset`` stream the candidate set
-through ``map_batches`` and need each pair's attribute values from the two
-source tables.  Two regimes (VERDICT r2 #1/#3):
+through ``map_batches`` (a pandas candset with a pandas result and no
+checkpoint: one plain Ray task on the whole frame) and need each pair's
+attribute values from the two source tables.  Two regimes (VERDICT r2
+#1/#3):
 
 - **broadcast** — the (key → attrs) projection fits the object-store budget
   (same rule as ``stages/slimjoin.broadcast_gate_bytes``): ``ray.put`` it
   once, positional-gather inside every batch.  This is the Ray-Data
   equivalent of the reference copying both tables into every joblib worker
   (``matcher/apply_matcher.py:254-260``) — paid once per node, not per task.
+  A pandas candset bound for a pandas result (no checkpoint) skips Ray Data
+  altogether: ``broadcast_map`` runs the batch body once on the whole frame
+  in one plain Ray task, the sides passed as task arguments.
 - **bucketed** — beyond the gate (or forced with ``SSJ_ATTACH_FORCE_DIST=1``)
   the projection stays a Dataset and attaches via a hash-bucket shuffle:
   candset rows and side rows are tagged with ``hash(key) % P``, unioned
@@ -51,7 +56,7 @@ def plan_side(table, key_attr: str, need_cols: list[str]):
     """Pick the attach regime for one side table.
 
     Returns ``('broadcast', frame)`` where ``frame`` is the projection
-    indexed by ``key_attr`` (caller ``ray.put``s it), or
+    indexed by ``key_attr`` (the caller hands it to ``broadcast_map``), or
     ``('dataset', ds)`` with the projected Dataset.  pandas inputs are
     driver-resident already, so they always broadcast unless forced."""
     if isinstance(table, pd.DataFrame):
@@ -64,6 +69,37 @@ def plan_side(table, key_attr: str, need_cols: list[str]):
     if not force_distributed() and proj.size_bytes() <= attach_gate_bytes():
         return 'broadcast', proj.to_pandas().set_index(key_attr, drop=False)
     return 'dataset', proj
+
+
+def _apply_body(body, cand: pd.DataFrame, lside, rside) -> pd.DataFrame:
+    return body(cand, lside, rside)
+
+
+_BODY_TASK = ray.remote(num_cpus=1)(_apply_body)
+
+
+def broadcast_map(cand, body, lside, rside):
+    """Run ``body(batch, lside, rside) -> DataFrame`` over the candset with
+    both side projections broadcast.
+
+    A pandas candset runs the body once, on the whole frame, in one plain
+    ``num_cpus=1`` task with the sides as task arguments, and the result
+    DataFrame comes back: no Dataset is built, so the call pays neither Ray
+    Data's executor start nor, in a session with no Dataset yet, its stats
+    actor.  ``from_pandas`` would make one block of the frame, so one task
+    is what the Dataset route ran too.  A Dataset candset streams through
+    ``map_batches``, a plain task per block (an actor pool costs seconds
+    of start-up and keeps its CPU until the driver garbage-collects it),
+    with each side ``ray.put`` once; the lazy Dataset returns."""
+    if isinstance(cand, pd.DataFrame):
+        return ray.get(_BODY_TASK.remote(body, cand, lside, rside))
+    l_ref, r_ref = ray.put(lside), ray.put(rside)
+
+    def per_batch(batch: pd.DataFrame) -> pd.DataFrame:
+        return body(batch, ray.get(l_ref), ray.get(r_ref))
+    per_batch.__name__ = body.__name__
+    return cand.map_batches(per_batch, batch_format='pandas',
+                            batch_size=None)
 
 
 def default_attach_buckets() -> int:

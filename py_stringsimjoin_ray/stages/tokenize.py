@@ -14,6 +14,8 @@ import pyarrow as pa
 
 import ray.data
 
+from ..core.tokenizers import has_arrow_kernel
+
 
 class TokenizeStage:
     """Callable-class stage: (key, join_attr) batches → (key, tokens) batches.
@@ -21,7 +23,8 @@ class TokenizeStage:
     Rows whose join attribute is null are DROPPED here — matching the
     reference's pre-join null drop (``utils/generic_helper.py:73-81``).
     Built-in tokenizers run their Arrow batch kernel (``tokenize_arrow``);
-    user-supplied tokenizers fall back to the reference's per-row
+    user-supplied tokenizers, and subclasses whose overrides that kernel
+    would skip (``has_arrow_kernel``), fall back to the reference's per-row
     ``.tokenize(str)`` contract.  The tokenizer object is constructed once
     per actor."""
 
@@ -43,7 +46,7 @@ class TokenizeStage:
             # an all-null input block arrives as Arrow type null; after the
             # null drop above it is empty — cast so tokenizers see string
             col = col.cast(pa.string())
-        if hasattr(self.tokenizer, 'tokenize_arrow'):
+        if has_arrow_kernel(self.tokenizer):
             tokens = self.tokenizer.tokenize_arrow(col)
         else:  # user-supplied tokenizer: reference contract is .tokenize(str)
             tk = self.tokenizer.tokenize
