@@ -2,33 +2,47 @@
 clustering record linkage over a source-code-repos Parquet corpus
 (BASELINE.json north_rule), resumable via per-stage lineage manifests.
 
-    repos.parquet ─ingest(map_batches: record_id, sha256)─▶ ingest/
-      └▶ self-join (tokenize → ordering → prefix postings + salting →
-         groupby(bucket) pair-gen/verify)              ─▶ matches/
-      └▶ connected components (large-star/small-star)  ─▶ clusters/
-           (+ singleton completion via groupby-min, sha256 carried through
-            a hash join back to the ingest artifact)
+    repos.parquet ─ footer gate: rows, content bytes vs SSJ_LOCAL_* caps
+      ├─ local route: ONE Ray task on in-memory tables
+      │    ingest (record_id, sha256)                      ─▶ ingest/
+      │    └▶ local_match_pairs (stages/localjoin.py)      ─▶ matches/
+      │    └▶ connected_components_numpy + searchsorted
+      │       component attach                             ─▶ clusters/
+      └─ Dataset route:
+           ingest (map_batches: record_id, sha256)         ─▶ ingest/
+           └▶ self-join (tokenize → ordering → prefix postings + salting
+              → candgen / verify shuffles)                 ─▶ matches/
+           └▶ connected components: one task below SSJ_CC_TASK_GATE
+              edges, large-star/small-star rounds above; broadcast or
+              bucket-shuffle component attach              ─▶ clusters/
 
-Each stage writes partitioned Parquet + ``_manifest.json`` (input
-fingerprint, row counts, sha256 roll-up); a re-run skips stages whose
-manifest matches — kill the driver mid-run and the next run picks up after
-the last completed artifact.
+Singletons (records without a match) are their own component; the sha256
+column rides along from ingest to clusters.  Each stage writes Parquet
+(one file on the local route, one per block on the Dataset route) +
+``_manifest.json`` (input fingerprint, row counts, sha256 roll-up); a
+re-run skips stages whose manifest matches, whichever route wrote them —
+kill the driver mid-run and the next run picks up after the last completed
+artifact.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import time
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray
 import ray.data
 
 from ..core.tokenizers import WhitespaceTokenizer
-from ..stages.cluster import connected_components
+from ..stages.cluster import connected_components, connected_components_numpy
 from ..state import manifests as mf
+from ..state.skewstats import summarize
 from .join import _JoinConfig, match_pairs_dataset
 
 
@@ -85,6 +99,33 @@ def _ingest_batch(batch: pa.Table) -> pa.Table:
 
 
 _KNUTH = np.uint64(2654435761)
+SLIM_COLS = ['record_id', 'repo', 'path', 'commit', 'sha256']
+STAGES = ('ingest', 'matches', 'clusters')
+
+
+def _component_of(ids: np.ndarray, nodes: np.ndarray,
+                  comps: np.ndarray) -> np.ndarray:
+    """Component of each id from a (node-sorted) component map; an id not
+    in the map (a singleton) is its own component."""
+    if not len(nodes):
+        return ids
+    pos = np.minimum(np.searchsorted(nodes, ids), len(nodes) - 1)
+    return np.where(nodes[pos] == ids, comps[pos], ids)
+
+
+def _attach(b: pa.Table, nodes: np.ndarray, comps: np.ndarray) -> pa.Table:
+    ids = b['record_id'].to_numpy().astype(np.int64)
+    return b.append_column('component', pa.array(
+        _component_of(ids, nodes, comps).astype(np.int64)))
+
+
+def _broadcast_attach(ingest_slim, comp_ref):
+    """Map over the ingest stream attaching components from the broadcast
+    (nodes, components) map behind ``comp_ref`` — no shuffle."""
+    def attach(b: pa.Table) -> pa.Table:
+        return _attach(b, *ray.get(comp_ref))
+    attach.__name__ = 'attach_components_broadcast'
+    return ingest_slim.map_batches(attach, batch_format='pyarrow')
 
 
 @ray.remote
@@ -92,9 +133,6 @@ def _cc_arrays(*match_blocks):
     """Remote connected-components build over match blocks: vectorized
     min-label propagation; returns (nodes_sorted, component) numpy arrays —
     the broadcast component map for the attach stage."""
-    from ..stages.cluster import connected_components_numpy
-    import pandas as pd
-
     def cols(b):
         return b.columns if isinstance(b, pd.DataFrame) else b.column_names
 
@@ -126,10 +164,9 @@ def _attach_components(ingest_slim, comp, num_buckets: int = 64,
     bucket-hash shuffle."""
     comp = comp.materialize()
     if comp.count() <= broadcast_gate:
-        import pyarrow as _pa
         nodes_parts, comp_parts = [], []
         for b in comp.iter_batches(batch_format='pyarrow', batch_size=None):
-            t = _pa.table(b)
+            t = pa.table(b)
             nodes_parts.append(t['node'].to_numpy(zero_copy_only=False)
                                .astype(np.int64))
             comp_parts.append(t['component'].to_numpy(zero_copy_only=False)
@@ -139,22 +176,8 @@ def _attach_components(ingest_slim, comp, num_buckets: int = 64,
         comps = (np.concatenate(comp_parts) if comp_parts
                  else np.empty(0, np.int64))
         order = np.argsort(nodes, kind='stable')
-        ref = ray.put((nodes[order], comps[order]))
-
-        def attach(b: pa.Table) -> pa.Table:
-            nd, cp = ray.get(ref)
-            ids = b['record_id'].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            if len(nd):
-                pos = np.minimum(np.searchsorted(nd, ids), len(nd) - 1)
-                hit = nd[pos] == ids
-                out = np.where(hit, cp[pos], ids)
-            else:
-                out = ids
-            return b.append_column('component',
-                                   pa.array(out.astype(np.int64)))
-        attach.__name__ = 'attach_components_broadcast'
-        return ingest_slim.map_batches(attach, batch_format='pyarrow')
+        return _broadcast_attach(ingest_slim,
+                                 ray.put((nodes[order], comps[order])))
     def tag_left(b: pa.Table) -> pa.Table:
         ids = b['record_id'].to_numpy(zero_copy_only=False).astype(np.int64)
         bk = ((ids.astype(np.uint64) * _KNUTH) >> np.uint64(7)) \
@@ -191,16 +214,10 @@ def _attach_components(ingest_slim, comp, num_buckets: int = 64,
         rcomp = tbl['component'].take(pa.array(np.flatnonzero(~lmask))) \
             .combine_chunks().to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        if len(rid):
-            order = np.argsort(rid, kind='stable')
-            rid, rcomp = rid[order], rcomp[order]
-            pos = np.minimum(np.searchsorted(rid, lid), len(rid) - 1)
-            vals = np.where(rid[pos] == lid, rcomp[pos], lid)
-        else:
-            vals = lid
+        order = np.argsort(rid, kind='stable')
+        vals = _component_of(lid, rid[order], rcomp[order])
         sel = pa.array(np.flatnonzero(lmask))
-        out = tbl.select(['record_id', 'repo', 'path', 'commit',
-                          'sha256']).take(sel)
+        out = tbl.select(SLIM_COLS).take(sel)
         return out.append_column('component',
                                  pa.array(vals.astype(np.int64)))
     merge.__name__ = 'attach_components'
@@ -215,7 +232,6 @@ def _poll_skew(summary, polls: int = 20, wait_s: float = 0.05) -> dict:
     once both join stages reported, or once a non-empty summary is the same
     on two polls in a row: a stage that reports nothing (``SkewStats``
     drops empty reports) must not hold the poll for its full length."""
-    import time
     skew: dict = {}
     for i in range(polls):
         prev, skew = skew, summary()
@@ -227,6 +243,188 @@ def _poll_skew(summary, polls: int = 20, wait_s: float = 0.05) -> dict:
     return skew
 
 
+@ray.remote
+def _block_xor(block) -> int:
+    """``sha256_xor`` of one Dataset block (Arrow or pandas)."""
+    if isinstance(block, pd.DataFrame):
+        block = pa.Table.from_pandas(block, preserve_index=False)
+    return (mf.sha256_xor(block['sha256'])
+            if 'sha256' in block.column_names else 0)
+
+
+def _block_xors(ds) -> list:
+    """One ``sha256_xor`` task per block of a materialized Dataset, started
+    now: plain tasks, no Dataset execution."""
+    return [_block_xor.remote(ref) for bundle in ds.iter_internal_ref_bundles()
+            for ref in bundle.block_refs]
+
+
+def _xor_of(refs: list) -> int:
+    acc = 0
+    for v in ray.get(refs):
+        acc ^= v
+    return acc
+
+
+def _skew_counters(skew: dict) -> dict:
+    """Flat ``skew_<stage>_<field>`` manifest counters of a skew summary."""
+    return {f'skew_{st}_{k}': v
+            for st, d in skew.items() for k, v in d.items()}
+
+
+def _cast_pairs(batch: pa.Table) -> pa.Table:
+    return pa.table({
+        'l_id': pa.compute.cast(batch['l_key'], pa.int64()),
+        'r_id': pa.compute.cast(batch['r_key'], pa.int64()),
+        'score': pa.compute.cast(batch['_sim_score'], pa.float64())})
+
+
+def _cc_task_gate() -> int:
+    return int(os.environ.get('SSJ_CC_TASK_GATE', '32000000'))
+
+
+def _fingerprints(fp_in: str) -> dict:
+    """Input fingerprint of each stage: the chain ingest → matches →
+    clusters, so editing an upstream artifact invalidates what follows."""
+    return {'ingest': fp_in, 'matches': fp_in + ':ingest',
+            'clusters': fp_in + ':ingest:matches'}
+
+
+def _manifest_invariant(checkpoint_dir: str) -> bool:
+    m_in = mf.load_manifest(checkpoint_dir, 'ingest')
+    m_out = mf.load_manifest(checkpoint_dir, 'clusters')
+    return bool(m_in and m_out
+                and m_in.get('sha256_xor') == m_out.get('sha256_xor'))
+
+
+def _input_files(repos_path: str) -> list | None:
+    """The input's Parquet files, or None when only Ray Data's reader
+    should interpret the path (no Parquet file, or subdirectories)."""
+    if os.path.isdir(repos_path) and any(
+            os.path.isdir(os.path.join(repos_path, n))
+            for n in os.listdir(repos_path) if n[0] not in '._'):
+        return None
+    return mf.parquet_files(repos_path) or None
+
+
+def _route_gate(repos_path: str, cfg) -> dict:
+    """Local-or-Dataset decision from Parquet footers alone: total rows
+    against ``SSJ_LOCAL_MAX_ROWS`` and the ``content`` column's
+    uncompressed size, never above the Arrow bytes ``_fetch_local``
+    measures, against ``SSJ_LOCAL_MAX_BYTES``.  Returns the gate inputs,
+    ``route`` and, for the Dataset route, the ``reason``."""
+    from ..stages.localjoin import (_local_byte_cap, _local_row_cap,
+                                    local_join_eligible)
+    gate = {'row_cap': _local_row_cap(), 'byte_cap': _local_byte_cap()}
+    if not local_join_eligible(None, None, cfg, True):
+        return dict(gate, route='dataset', reason='flags')
+    files = _input_files(repos_path)
+    if files is None:
+        return dict(gate, route='dataset', reason='layout')
+    rows = content = 0
+    for f in files:
+        md = pq.read_metadata(f)
+        rows += md.num_rows
+        for i in range(md.num_row_groups):
+            rg = md.row_group(i)
+            content += sum(rg.column(j).total_uncompressed_size
+                           for j in range(rg.num_columns)
+                           if rg.column(j).path_in_schema == 'content')
+    gate.update(rows=rows, content_bytes=content, files=files)
+    if rows > gate['row_cap'] or content > gate['byte_cap']:
+        return dict(gate, route='dataset', reason='size')
+    return dict(gate, route='local')
+
+
+def _local_linkage(files: list, checkpoint_dir, fp_in: str, cfg,
+                   byte_cap: int, cc_gate: int) -> dict:
+    """The whole pipeline on in-memory tables; runs as ONE Ray task
+    (``_LINKAGE_TASK``).  Same stage kernels, artifacts and manifest fields
+    as the Dataset route, with no Dataset plan, read-back or skew actor:
+    each stage is one ``pq.write_table`` file whose sha256 roll-up comes
+    from the column in memory, and a completed stage is read back with
+    ``pq.read_table``.  Returns ``{'counters', 'timings', 'clusters'}``
+    (``clusters`` only without a checkpoint), or ``{'fallback': reason}``
+    when the Dataset route must run: the fetched payload exceeds
+    ``byte_cap`` (``'payload'``) or the match graph exceeds ``cc_gate``
+    edges (``'cc_gate'``, after ingest and matches are written)."""
+    from ..stages.localjoin import _empty_pairs, local_match_pairs
+    fps = _fingerprints(fp_in)
+    done = {s: mf.is_complete(checkpoint_dir, s, fps[s]) for s in STAGES}
+    counters: dict = {}
+    timings: dict = {}
+    t0 = time.perf_counter()
+
+    def mark(stage):
+        nonlocal t0
+        timings[stage] = round(time.perf_counter() - t0, 2)
+        t0 = time.perf_counter()
+
+    # ---------------- stage 1: ingest --------------------------------
+    if done['ingest']:
+        counters['ingest_resumed'] = True
+        ingest = mf.read_stage_table(
+            checkpoint_dir, 'ingest', SLIM_COLS if done['matches'] else None)
+    else:
+        ingest = pq.read_table(files)
+    if not done['matches'] \
+            and ingest['content'].nbytes + 8 * len(ingest) > byte_cap:
+        return {'fallback': 'payload'}
+    if not done['ingest']:
+        ingest = _ingest_batch(ingest)
+        if checkpoint_dir:
+            mf.write_table_stage(ingest, checkpoint_dir, 'ingest',
+                                 fps['ingest'], sha_col='sha256')
+    mark('ingest')
+
+    # ---------------- stage 2: matches (self-join) -------------------
+    if done['matches']:
+        counters['matches_resumed'] = True
+        matches = mf.read_stage_table(checkpoint_dir, 'matches')
+    else:
+        cfg.skew_volumes = {}
+        res = (local_match_pairs(ingest, ingest, 'record_id', 'record_id',
+                                 'content', 'content', cfg, True)
+               if len(ingest) else (_empty_pairs(), {}))
+        if res is None:
+            return {'fallback': 'payload'}
+        matches = _cast_pairs(pa.Table.from_pandas(res[0],
+                                                   preserve_index=False))
+        skew = summarize(cfg.skew_volumes)
+        if checkpoint_dir:
+            mf.write_table_stage(matches, checkpoint_dir, 'matches',
+                                 fps['matches'],
+                                 counters=_skew_counters(skew))
+            if skew:
+                counters['skew'] = skew
+    counters['num_matches'] = len(matches)
+    mark('matches')
+
+    # ---------------- stage 3: clusters ------------------------------
+    if len(matches) > cc_gate:
+        return {'fallback': 'cc_gate'}
+    nodes, comps = connected_components_numpy(
+        matches['l_id'].to_numpy().astype(np.int64),
+        matches['r_id'].to_numpy().astype(np.int64))
+    clusters = _attach(ingest.select(SLIM_COLS), nodes, comps)
+    if checkpoint_dir:
+        mf.write_table_stage(clusters, checkpoint_dir, 'clusters',
+                             fps['clusters'], sha_col='sha256')
+    counters['num_records'] = len(clusters)
+    mark('clusters')
+
+    # ---------------- invariant: sha256 preserved end-to-end ---------
+    counters['sha256_invariant_ok'] = (
+        _manifest_invariant(checkpoint_dir) if checkpoint_dir else
+        mf.sha256_xor(ingest['sha256']) == mf.sha256_xor(clusters['sha256']))
+    mark('invariant')
+    return {'counters': counters, 'timings': timings,
+            'clusters': None if checkpoint_dir else clusters}
+
+
+_LINKAGE_TASK = ray.remote(num_cpus=1)(_local_linkage)
+
+
 def record_linkage(repos_path: str, checkpoint_dir: str | None = None,
                    threshold: float = 0.7, tokenizer=None,
                    num_buckets: int = 4096, salt_df_threshold: int = 300,
@@ -234,6 +432,12 @@ def record_linkage(repos_path: str, checkpoint_dir: str | None = None,
                    counter_name: str | None = None) -> dict:
     """Run the full pipeline; returns a result dict with the cluster Dataset
     (lazy), per-stage counters, and the sha256 invariant check.
+
+    ``counters['route']`` is ``'local'`` or ``'dataset'`` and
+    ``counters['route_gate']`` the gate inputs that chose it (footer rows,
+    content bytes, row cap, byte cap; ``reason`` and ``fallback`` on the
+    Dataset route).  A full resume reads the three manifests and the
+    clusters artifact and runs nothing.
 
     The executor's per-operator resource reservation is disabled for the
     datasets this pipeline creates (restored on exit): the pipeline's
@@ -254,118 +458,139 @@ def record_linkage(repos_path: str, checkpoint_dir: str | None = None,
 def _record_linkage_impl(repos_path, checkpoint_dir, threshold, tokenizer,
                          num_buckets, salt_df_threshold,
                          join_num_partitions, counter_name) -> dict:
-    import time as _time
-    tokenizer = tokenizer or WhitespaceTokenizer(return_set=True)
-    counters: dict = {}
+    cfg = _JoinConfig('JACCARD', tokenizer or WhitespaceTokenizer(
+                          return_set=True), threshold, '>=',
+                      allow_empty=False, allow_missing=False,
+                      out_sim_score=True, self_join=True,
+                      num_buckets=num_buckets,
+                      salt_df_threshold=salt_df_threshold,
+                      counter_name=counter_name)
+    gate = _route_gate(repos_path, cfg)
+    files = gate.pop('files', None)
+    counters: dict = {'route': gate.pop('route'), 'route_gate': gate}
+    fp_in = mf.file_fingerprint(repos_path)
+    fps = _fingerprints(fp_in)
+    if all(mf.is_complete(checkpoint_dir, s, fps[s]) for s in STAGES):
+        return _full_resume(checkpoint_dir, counters)
+    if counters['route'] == 'local':
+        res = ray.get(_LINKAGE_TASK.remote(files, checkpoint_dir, fp_in, cfg,
+                                           gate['byte_cap'], _cc_task_gate()))
+        if 'fallback' not in res:
+            counters.update(res['counters'])
+            if checkpoint_dir:
+                counters['ingest_rows'] = mf.load_manifest(
+                    checkpoint_dir, 'ingest')['num_rows']
+                clusters = mf.read_stage(checkpoint_dir, 'clusters')
+            else:
+                clusters = ray.data.from_arrow(res['clusters'])
+            return {'clusters': clusters, 'counters': counters,
+                    'timings': res['timings']}
+        counters['route'] = 'dataset'
+        gate['fallback'] = res['fallback']
+    # the join's own size probe would only repeat a decision made above
+    cfg.skip_local_probe = gate.get('reason') == 'size' \
+        or gate.get('fallback') == 'payload'
+    return _dataset_linkage(repos_path, checkpoint_dir, cfg, fps,
+                            join_num_partitions, counters)
+
+
+def _full_resume(checkpoint_dir: str, counters: dict) -> dict:
+    """Every stage's manifest is complete: read the result, run nothing."""
+    t0 = time.perf_counter()
+    rows = {s: mf.load_manifest(checkpoint_dir, s)['num_rows']
+            for s in STAGES}
+    counters.update(ingest_resumed=True, matches_resumed=True,
+                    clusters_resumed=True, num_matches=rows['matches'],
+                    num_records=rows['clusters'],
+                    sha256_invariant_ok=_manifest_invariant(checkpoint_dir),
+                    ingest_rows=rows['ingest'])
+    clusters = mf.read_stage(checkpoint_dir, 'clusters')
+    return {'clusters': clusters, 'counters': counters,
+            'timings': {'resume': round(time.perf_counter() - t0, 2)}}
+
+
+def _dataset_linkage(repos_path, checkpoint_dir, cfg, fps,
+                     join_num_partitions, counters) -> dict:
+    """The pipeline as Ray Data plans: partitioned stage artifacts, a
+    ``SkewStats`` actor for the join's task volumes, and the distributed
+    connected-components rounds past ``SSJ_CC_TASK_GATE``."""
     timings: dict = {}
-    _t0 = _time.time()
+    _t0 = time.time()
 
     def _mark(stage):
         nonlocal _t0
-        timings[stage] = round(_time.time() - _t0, 2)
-        _t0 = _time.time()
+        timings[stage] = round(time.time() - _t0, 2)
+        _t0 = time.time()
 
     # ---------------- stage 1: ingest --------------------------------
-    fp_in = mf.file_fingerprint(repos_path)
-    if mf.is_complete(checkpoint_dir, 'ingest', fp_in):
+    if mf.is_complete(checkpoint_dir, 'ingest', fps['ingest']):
         ingest = mf.read_stage(checkpoint_dir, 'ingest')
         counters['ingest_resumed'] = True
     else:
         raw = ray.data.read_parquet(repos_path)
         ingest = raw.map_batches(_ingest_batch, batch_format='pyarrow')
         if checkpoint_dir:
-            ingest = mf.write_stage(ingest, checkpoint_dir, 'ingest', fp_in,
-                                    sha_col='sha256')
+            ingest = mf.write_stage(ingest, checkpoint_dir, 'ingest',
+                                    fps['ingest'], sha_col='sha256')
         else:
             ingest = ingest.materialize()
     ingest_manifest = (mf.load_manifest(checkpoint_dir, 'ingest')
                        if checkpoint_dir else None)
-    fp_ingest = fp_in + ':ingest'
     # the ingest-side sha256 roll-up depends only on the materialized
     # ingest blocks — start it now so it runs UNDER the matches/clusters
     # stages instead of serializing at the end (checkpointed runs read the
-    # rolled-up manifest instead).  Daemon thread, NOT a ThreadPoolExecutor:
-    # pool threads are joined at interpreter exit, so a failure in a later
-    # stage would block shutdown on a full-corpus scan nobody needs.
-    ingest_xor = None
-    if not checkpoint_dir:
-        import threading
-        ingest_xor = {'done': threading.Event(), 'value': None}
-
-        def _roll(box=ingest_xor, ds_=ingest):
-            try:
-                box['value'] = mf.sha256_xor_rollup(ds_)
-            finally:
-                box['done'].set()
-        threading.Thread(target=_roll, daemon=True,
-                         name='ssj-ingest-xor').start()
+    # rolled-up manifest instead)
+    ingest_xor = None if checkpoint_dir else _block_xors(ingest)
     _mark('ingest')
 
     # ---------------- stage 2: matches (self-join) -------------------
-    if mf.is_complete(checkpoint_dir, 'matches', fp_ingest):
+    if mf.is_complete(checkpoint_dir, 'matches', fps['matches']):
         matches = mf.read_stage(checkpoint_dir, 'matches')
         counters['matches_resumed'] = True
     else:
-        cfg = _JoinConfig('JACCARD', tokenizer, threshold, '>=',
-                          allow_empty=False, allow_missing=False,
-                          out_sim_score=True, self_join=True,
-                          num_buckets=num_buckets,
-                          salt_df_threshold=salt_df_threshold,
-                          counter_name=counter_name)
         # per-task skew roll-up (VERDICT r4 #7): the candgen/verify kernels
-        # report their task volumes to this actor; the summary lands in the
-        # matches manifest so a skewed corpus is diagnosable from the
-        # checkpoint dir alone
+        # report their task volumes to this actor (a join that still takes
+        # the local route fills cfg.skew_volumes in process instead); the
+        # summary lands in the matches manifest so a skewed corpus is
+        # diagnosable from the checkpoint dir alone
         skew_actor = None
         if checkpoint_dir:
             import uuid as _uuid
 
             from ..state.skewstats import SkewStats
             cfg.skew_name = f'ssj_skew_{_uuid.uuid4().hex[:8]}'
+            cfg.skew_volumes = {}
             skew_actor = SkewStats.options(name=cfg.skew_name).remote()
         pairs, _ = match_pairs_dataset(ingest, ingest, 'record_id',
                                        'record_id', 'content', 'content', cfg)
         if isinstance(pairs, pd.DataFrame):
             # small corpora ride the local fast path (stages/localjoin.py)
             pairs = ray.data.from_pandas(pairs)
-
-        def cast_pairs(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                'l_id': pa.compute.cast(batch['l_key'], pa.int64()),
-                'r_id': pa.compute.cast(batch['r_key'], pa.int64()),
-                'score': pa.compute.cast(batch['_sim_score'], pa.float64())})
-        matches = pairs.map_batches(cast_pairs, batch_format='pyarrow')
+        matches = pairs.map_batches(_cast_pairs, batch_format='pyarrow')
         if checkpoint_dir:
             matches = mf.write_stage(matches, checkpoint_dir, 'matches',
-                                     fp_ingest)
-            if skew_actor is not None:
-                # the write above forced execution; reports are
-                # fire-and-forget, so poll briefly for in-flight adds
-                skew = _poll_skew(
-                    lambda: ray.get(skew_actor.summary.remote()))
-                if skew:
-                    mf.update_manifest_counters(
-                        checkpoint_dir, 'matches',
-                        {f'skew_{st}_{k}': v
-                         for st, d in skew.items() for k, v in d.items()})
-                    counters['skew'] = skew
-                ray.kill(skew_actor)
+                                     fps['matches'])
+            # the write above forced execution; reports are
+            # fire-and-forget, so poll briefly for in-flight adds
+            skew = summarize(cfg.skew_volumes) or _poll_skew(
+                lambda: ray.get(skew_actor.summary.remote()))
+            if skew:
+                mf.update_manifest_counters(checkpoint_dir, 'matches',
+                                            _skew_counters(skew))
+                counters['skew'] = skew
+            ray.kill(skew_actor)
         else:
             matches = matches.materialize()
     counters['num_matches'] = matches.count()
     _mark('matches')
 
     # ---------------- stage 3: clusters ------------------------------
-    fp_matches = fp_ingest + ':matches'
-    if mf.is_complete(checkpoint_dir, 'clusters', fp_matches):
+    if mf.is_complete(checkpoint_dir, 'clusters', fps['clusters']):
         clusters = mf.read_stage(checkpoint_dir, 'clusters')
         counters['clusters_resumed'] = True
     else:
-        ingest_slim = ingest.select_columns(
-            ['record_id', 'repo', 'path', 'commit', 'sha256'])
-        import os as _os2
-        cc_gate = int(_os2.environ.get('SSJ_CC_TASK_GATE', '32000000'))
-        if counters['num_matches'] <= cc_gate:
+        ingest_slim = ingest.select_columns(SLIM_COLS)
+        if counters['num_matches'] <= _cc_task_gate():
             # small-graph fast path: one Ray task runs vectorized min-label
             # propagation over the match blocks and the component map ships
             # as an object-store broadcast — no shuffle, nothing on the
@@ -376,23 +601,8 @@ def _record_linkage_impl(repos_path, checkpoint_dir, threshold, tokenizer,
             refs = []
             for bundle in matches.iter_internal_ref_bundles():
                 refs.extend(bundle.block_refs)
-            comp_ref = _cc_arrays.remote(*refs)
-
-            def attach(b: pa.Table) -> pa.Table:
-                nd, cp = ray.get(comp_ref)
-                ids = b['record_id'].to_numpy(zero_copy_only=False) \
-                    .astype(np.int64)
-                if len(nd):
-                    pos = np.minimum(np.searchsorted(nd, ids), len(nd) - 1)
-                    hit = nd[pos] == ids
-                    out = np.where(hit, cp[pos], ids)
-                else:
-                    out = ids
-                return b.append_column('component',
-                                       pa.array(out.astype(np.int64)))
-            attach.__name__ = 'attach_components_broadcast'
-            clusters = ingest_slim.map_batches(attach,
-                                               batch_format='pyarrow')
+            clusters = _broadcast_attach(ingest_slim,
+                                         _cc_arrays.remote(*refs))
         else:
             edges = matches.map_batches(
                 lambda b: pa.table({'u': b['l_id'], 'v': b['r_id']}),
@@ -409,7 +619,7 @@ def _record_linkage_impl(repos_path, checkpoint_dir, threshold, tokenizer,
                                     .get('CPU', 8)) * 4))
         if checkpoint_dir:
             clusters = mf.write_stage(clusters, checkpoint_dir, 'clusters',
-                                      fp_matches, sha_col='sha256')
+                                      fps['clusters'], sha_col='sha256')
         else:
             clusters = clusters.materialize()
 
@@ -418,18 +628,13 @@ def _record_linkage_impl(repos_path, checkpoint_dir, threshold, tokenizer,
 
     # ---------------- invariant: sha256 preserved end-to-end ---------
     if checkpoint_dir:
-        m_in = mf.load_manifest(checkpoint_dir, 'ingest')
-        m_out = mf.load_manifest(checkpoint_dir, 'clusters')
-        counters['sha256_invariant_ok'] = (
-            m_in and m_out and m_in.get('sha256_xor') == m_out.get('sha256_xor'))
+        counters['sha256_invariant_ok'] = _manifest_invariant(checkpoint_dir)
     else:
         # ingest roll-up was started right after ingest materialized (it
         # overlaps the matches/clusters stages); only the clusters-side
-        # scan remains on the critical path here
-        out_xor = mf.sha256_xor_rollup(clusters)
-        ingest_xor['done'].wait()
-        counters['sha256_invariant_ok'] = (ingest_xor['value'] is not None
-                                           and ingest_xor['value'] == out_xor)
+        # roll-up remains on the critical path here
+        counters['sha256_invariant_ok'] = (
+            _xor_of(ingest_xor) == _xor_of(_block_xors(clusters)))
     _mark('invariant')
     if ingest_manifest:
         counters['ingest_rows'] = ingest_manifest['num_rows']
@@ -439,36 +644,27 @@ def _record_linkage_impl(repos_path, checkpoint_dir, threshold, tokenizer,
 
 # ------------------------------------------------------------- evaluation
 
-def pairwise_f1(clusters_pd, truth_pd, blocking_tokens_of=None) -> dict:
-    """Pairwise precision/recall/F1 of predicted vs true clusters over
-    labeled pairs that share a blocking key (BASELINE.md §2).
+def pairwise_f1(clusters_pd, truth_pd) -> dict:
+    """Pairwise precision/recall/F1 of predicted vs true clusters over ALL
+    record pairs, in closed form from the (truth cluster, component)
+    contingency table: TP = Σ C(n_ij, 2), predicted = Σ C(n_.j, 2),
+    true = Σ C(n_i., 2) — O(records), no pair set.
 
     clusters_pd: (repo, path, commit, component); truth_pd: (repo, path,
-    commit, cluster_id).  The labeled-pair universe is all record pairs
-    sharing ≥1 blocking token (default: a whitespace token of the record's
-    truth cluster — here we use pairs from either clustering, which
-    over-covers the universe and therefore can only lower the score)."""
-    import pandas as pd
+    commit, cluster_id)."""
     key = ['repo', 'path', 'commit']
     merged = truth_pd.merge(clusters_pd, on=key, validate='one_to_one')
+    joint = merged.groupby(['cluster_id', 'component']).size()
 
-    def pair_set(labels):
-        groups: dict = {}
-        for i, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(i)
-        pairs = set()
-        for members in groups.values():
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    pairs.add((members[a], members[b]))
-        return pairs
-
-    true_pairs = pair_set(merged['cluster_id'].to_numpy())
-    pred_pairs = pair_set(merged['component'].to_numpy())
-    tp = len(true_pairs & pred_pairs)
-    precision = tp / len(pred_pairs) if pred_pairs else 1.0
-    recall = tp / len(true_pairs) if true_pairs else 1.0
+    def pairs(counts) -> int:
+        c = counts.to_numpy(np.int64)
+        return int((c * (c - 1) // 2).sum())
+    tp = pairs(joint)
+    pred = pairs(joint.groupby(level='component').sum())
+    true = pairs(joint.groupby(level='cluster_id').sum())
+    precision = tp / pred if pred else 1.0
+    recall = tp / true if true else 1.0
     f1 = (2 * precision * recall / (precision + recall)
           if precision + recall else 0.0)
     return {'precision': precision, 'recall': recall, 'f1': f1,
-            'true_pairs': len(true_pairs), 'pred_pairs': len(pred_pairs)}
+            'true_pairs': true, 'pred_pairs': pred}

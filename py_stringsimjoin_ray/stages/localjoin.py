@@ -1,5 +1,7 @@
-"""Size-gated local route for ``mode='join'`` and the ``filter_tables``
-candidates modes.
+"""Size-gated local route with three callers: joins (``mode='join'``) and
+the ``filter_tables`` candidates modes, both through
+``join.match_pairs_dataset``, and ``record_linkage``'s local route, whose
+one Ray task calls ``local_match_pairs`` on its in-memory ingest table.
 
 A Ray Data pipeline pays ~8 stage barriers (tokenize, vocabulary,
 signature fold, postings shuffle, candgen, verify, expand) at 0.3-0.6 s
@@ -13,6 +15,9 @@ machinery, so the whole call is kernel-bound:
 * joins (``mode='join'``), on the driver: ``TokenizeStage`` -> rank
   lookup -> ``RankPrefixStage`` -> ``SigStage`` -> Tsig fold ->
   ``SlimPostingsStage`` -> ``_np_candidates`` -> ``BroadcastVerify``;
+* ``record_linkage`` below the same caps: the join above, run inside
+  the pipeline's one task on a ``pa.Table``, with its candgen / verify
+  task volumes collected in process (``cfg.skew_volumes``);
 * the candidates modes of ``Filter.filter_tables`` (prefix, position,
   overlap), in ONE Ray task so their O(n·p) postings never
   reach the driver: ``TokenizeStage`` -> rank lookup ->
@@ -24,12 +29,12 @@ machinery, so the whole call is kernel-bound:
 
 Gate: both inputs at most ``SSJ_LOCAL_MAX_ROWS`` (default 1M) total rows
 and ``SSJ_LOCAL_MAX_BYTES`` (default 128 MB) of fetched payload, probed
-at bounded cost (``len(df)`` for pandas; ``ds.limit(cap)`` for Datasets —
-the limit early-terminates streaming execution, so the probe never scans
-more than the cap even on a 100 TB input).  Beyond the gate the Dataset
-pipeline runs unchanged.  ``SSJ_LOCAL_JOIN=0`` disables the local route,
-``=force`` takes it regardless of size (tests use both to pin route
-equivalence).
+at bounded cost (``len()`` for pandas and Arrow tables; ``ds.limit(cap)``
+for Datasets — the limit early-terminates streaming execution, so the
+probe never scans more than the cap even on a 100 TB input).  Beyond the
+gate the Dataset pipeline runs unchanged.  ``SSJ_LOCAL_JOIN=0`` disables
+the local route, ``=force`` takes it regardless of size (tests use both to
+pin route equivalence).
 
 Output parity: candidate recall is guaranteed for ANY consistent global
 token order by prefix-filter theory (verification is exact), so set
@@ -79,9 +84,11 @@ _FANOUT_WORK = 5_000_000
 def local_join_eligible(ltable, rtable, cfg, same_relation: bool) -> bool:
     """Flag gate only (joins and the candidates modes alike) — the size
     gate lives in ``_fetch_local``, which probes and materializes in the
-    same bounded pass."""
+    same bounded pass.  ``cfg.skip_local_probe`` marks a caller that has
+    already sized the input against the caps and chose the Dataset
+    route."""
     flag = os.environ.get('SSJ_LOCAL_JOIN', '1')
-    if flag == '0':
+    if flag == '0' or getattr(cfg, 'skip_local_probe', False):
         return False
     if getattr(cfg, 'force_distributed', False) \
             or os.environ.get('SSJ_FORCE_DISTRIBUTED') == '1' \
@@ -136,11 +143,12 @@ def _fetch_local(table, cols: list, cap: int,
     and a small input pays a single Dataset execution instead of a
     count() probe plus a separate to_pandas()."""
     cols = list(dict.fromkeys(cols))
-    if isinstance(table, pd.DataFrame):
+    if isinstance(table, (pd.DataFrame, pa.Table)):
         if len(table) > cap:
             return None
-        t = pa.Table.from_pandas(table[cols].reset_index(drop=True),
-                                 preserve_index=False)
+        t = (table.select(cols) if isinstance(table, pa.Table) else
+             pa.Table.from_pandas(table[cols].reset_index(drop=True),
+                                  preserve_index=False))
         return None if t.nbytes > byte_cap else t
     # metadata shortcut: when a free full-table size estimate says the
     # input is so large that even a small column fraction must exceed the
@@ -266,17 +274,12 @@ def _local_tsig(tagged: pa.Table, same_relation: bool, keep_string: bool):
     return bc, tsig_tbl
 
 
-def _candgen_chunk(tbl: pa.Table, sim_type: str, threshold, same_relation,
-                   skew_name=None):
+def _candgen_chunk(tbl: pa.Table, sim_type: str, threshold, same_relation):
     """Candidate pair64s for one postings slice (whole buckets only)."""
     sa, sb = _np_candidates(tbl, sim_type, threshold, same_relation)
     if len(sa) == 0:
         return np.empty(0, np.int64)
-    out = np.unique((sa << np.int64(32)) | sb)
-    if skew_name:
-        from ..state.skewstats import report as _skew_report
-        _skew_report(skew_name, 'candgen', len(out))
-    return out
+    return np.unique((sa << np.int64(32)) | sb)
 
 
 # ---------------------------------------------------------------------------
@@ -646,15 +649,16 @@ _PAIRGEN_TASK = ray.remote(num_cpus=1)(_pairgen_buckets)
 
 def _verify_chunk(bc_or_ref, pair64: np.ndarray, sim_type, threshold,
                   comp_op, qval, same_relation, self_join,
-                  counter_name, skew_name=None) -> pd.DataFrame:
+                  counter_name) -> tuple:
+    """(pairs, record pairs verified) for one slice of candidates."""
     vf = BroadcastVerify(bc_or_ref, sim_type, threshold, comp_op, qval,
                          same_relation=same_relation, self_join=self_join,
-                         round_score=True, counter_name=counter_name,
-                         skew_name=skew_name)
+                         round_score=True, counter_name=counter_name)
     if not isinstance(bc_or_ref, ray.ObjectRef):
         vf._bc = bc_or_ref
-    return vf(pa.table({'vb': pa.array(np.zeros(len(pair64), np.int32)),
-                        'pair64': pa.array(pair64, pa.int64())}))
+    df = vf(pa.table({'vb': pa.array(np.zeros(len(pair64), np.int32)),
+                      'pair64': pa.array(pair64, pa.int64())}))
+    return df, vf.checked
 
 
 def local_match_pairs(ltable, rtable, l_key_attr, r_key_attr,
@@ -666,7 +670,10 @@ def local_match_pairs(ltable, rtable, l_key_attr, r_key_attr,
     task (``_local_candidates``).  Exact-same kernels and therefore
     exact-same output as the Dataset pipeline (pinned by
     tests/test_local_join.py and tests/test_local_filters.py against
-    SSJ_LOCAL_JOIN=0 runs)."""
+    SSJ_LOCAL_JOIN=0 runs).  A join whose ``cfg.skew_volumes`` is a dict
+    appends its per-task candgen / verify volumes there, in process: the
+    ``skewstats.summarize`` input, the numbers the Dataset route's kernels
+    report to a ``SkewStats`` actor."""
     cap = _local_row_cap()
     byte_cap = _local_byte_cap()
     arr_l = _fetch_local(ltable, [l_key_attr, l_join_attr], cap, byte_cap)
@@ -687,6 +694,7 @@ def local_match_pairs(ltable, rtable, l_key_attr, r_key_attr,
     tok_l, tok_r = _tokenize_sides(arr_l, arr_r, l_key_attr, r_key_attr,
                                    l_join_attr, r_join_attr, cfg)
     empties = _local_empties(cfg, tok_l, tok_r)
+    volumes = getattr(cfg, 'skew_volumes', {})
 
     keep_string = cfg.keep_string
     lut, heavy, _tot = _local_lut([tok_l] if same_relation else
@@ -721,16 +729,16 @@ def local_match_pairs(ltable, rtable, l_key_attr, r_key_attr,
         ntasks, chunk_of = chunks
         rem = ray.remote(num_cpus=1)(_candgen_chunk)
         refs = [rem.remote(postings.filter(pa.array(chunk_of == i)),
-                           cfg.sim_type, cfg.threshold, same_relation,
-                           getattr(cfg, 'skew_name', None))
+                           cfg.sim_type, cfg.threshold, same_relation)
                 for i in range(ntasks)]
         parts = [p for p in ray.get(refs) if len(p)]
+        volumes.setdefault('candgen', []).extend(len(p) for p in parts)
         pair64 = (np.unique(np.concatenate(parts))
                   if parts else np.empty(0, np.int64))
     else:
         pair64 = _candgen_chunk(postings, cfg.sim_type, cfg.threshold,
-                                same_relation,
-                                getattr(cfg, 'skew_name', None))
+                                same_relation)
+        volumes.setdefault('candgen', []).append(len(pair64))
     if len(pair64) == 0:
         return _empty_pairs(), empties
 
@@ -738,15 +746,14 @@ def local_match_pairs(ltable, rtable, l_key_attr, r_key_attr,
         bc_ref = ray.put(bc)
         rem = ray.remote(num_cpus=1)(_verify_chunk)
         chunks = [c for c in np.array_split(pair64, cpus) if len(c)]
-        dfs = ray.get([rem.remote(bc_ref, c, cfg.sim_type, cfg.threshold,
-                                  cfg.comp_op, cfg.qval, same_relation,
-                                  cfg.self_join, cfg.counter_name,
-                                  getattr(cfg, 'skew_name', None))
-                       for c in chunks])
-        df = pd.concat(dfs, ignore_index=True) if dfs else _empty_pairs()
+        outs = ray.get([rem.remote(bc_ref, c, cfg.sim_type, cfg.threshold,
+                                   cfg.comp_op, cfg.qval, same_relation,
+                                   cfg.self_join, cfg.counter_name)
+                        for c in chunks])
     else:
-        df = _verify_chunk(bc, pair64, cfg.sim_type, cfg.threshold,
-                           cfg.comp_op, cfg.qval, same_relation,
-                           cfg.self_join, cfg.counter_name,
-                           getattr(cfg, 'skew_name', None))
+        outs = [_verify_chunk(bc, pair64, cfg.sim_type, cfg.threshold,
+                              cfg.comp_op, cfg.qval, same_relation,
+                              cfg.self_join, cfg.counter_name)]
+    volumes.setdefault('verify', []).extend(n for _, n in outs)
+    df = pd.concat([d for d, _ in outs], ignore_index=True)
     return df, empties

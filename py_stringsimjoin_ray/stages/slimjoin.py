@@ -939,6 +939,7 @@ class BroadcastVerify:
         self._bc = None
         self._shards: dict = {}
         self._counter = None  # actor handle cached once per task
+        self.checked = 0  # record pairs verified by this instance
 
     def _shard(self, sp: int):
         if sp not in self._shards:
@@ -1036,6 +1037,7 @@ class BroadcastVerify:
         # counter semantics: unique candidate pairs entering verification
         # (== round 2's ownership survivors), record-pair weighted
         checked = int((cntA * cntB).sum())
+        self.checked += checked
         if self.skew_name:
             from ..state.skewstats import report as _skew_report
             _skew_report(self.skew_name, 'verify', checked,

@@ -4,7 +4,9 @@ The candgen / verify kernels already know their per-task candidate and
 record-pair volumes; a ``SkewStats`` actor rolls them up per stage
 (count / total / max / p99-ish top slice) so a skewed corpus is
 diagnosable from the checkpoint directory alone: the linkage pipeline
-merges ``summary()`` into the ``matches`` stage manifest.
+merges ``summary()`` into the ``matches`` stage manifest.  The local route
+collects the same volumes in-process and rolls them up with ``summarize``,
+with no actor.
 
 Reporting is best-effort fire-and-forget, exactly like the pair-counter
 protocol — a missing actor never fails a kernel.
@@ -15,33 +17,33 @@ from __future__ import annotations
 import ray
 
 
+def summarize(volumes: dict) -> dict:
+    """``{stage: [task volume, ...]}`` -> per-stage tasks / total / max
+    task / max-over-mean ratio (the straggler factor a scheduler sees)."""
+    out = {}
+    for stage, vols in volumes.items():
+        vols = [v for v in vols if v > 0]  # as ``report`` drops them
+        if not vols:
+            continue
+        total, top = sum(vols), max(vols)
+        mean = total / len(vols)
+        out[stage] = {'tasks': len(vols), 'total': total, 'max_task': top,
+                      'skew_ratio': round(top / mean, 3) if mean else 0.0}
+    return out
+
+
 @ray.remote(num_cpus=0)
 class SkewStats:
-    """Rolling per-stage task-volume stats: tasks, total, max."""
+    """Per-stage task volumes reported by the Dataset route's kernels."""
 
     def __init__(self):
-        self._stats: dict = {}
+        self._volumes: dict = {}
 
     def add(self, stage: str, n: int) -> None:
-        s = self._stats.setdefault(stage, {'tasks': 0, 'total': 0, 'max': 0})
-        n = int(n)
-        s['tasks'] += 1
-        s['total'] += n
-        if n > s['max']:
-            s['max'] = n
+        self._volumes.setdefault(stage, []).append(int(n))
 
     def summary(self) -> dict:
-        out = {}
-        for stage, s in self._stats.items():
-            mean = s['total'] / s['tasks'] if s['tasks'] else 0.0
-            out[stage] = {
-                'tasks': s['tasks'],
-                'total': s['total'],
-                'max_task': s['max'],
-                # max/mean ratio ≈ the straggler factor a scheduler sees
-                'skew_ratio': round(s['max'] / mean, 3) if mean else 0.0,
-            }
-        return out
+        return summarize(self._volumes)
 
 
 def report(skew_name: str | None, stage: str, n: int,

@@ -54,6 +54,85 @@ def test_linkage_f1_and_invariant(corpus, tmp_path):
         assert m and m['completed'] and m['num_rows'] > 0
 
 
+def _pairwise_f1_pairs(clusters_pd, truth_pd) -> dict:
+    """Pair-set oracle of ``pairwise_f1``: every within-cluster record pair
+    of either clustering as a Python tuple (O(sum of size^2) memory)."""
+    key = ['repo', 'path', 'commit']
+    merged = truth_pd.merge(clusters_pd, on=key, validate='one_to_one')
+
+    def pair_set(labels):
+        groups: dict = {}
+        for i, lab in enumerate(labels):
+            groups.setdefault(lab, []).append(i)
+        pairs = set()
+        for members in groups.values():
+            for a in range(len(members)):
+                for b in range(a + 1, len(members)):
+                    pairs.add((members[a], members[b]))
+        return pairs
+
+    true_pairs = pair_set(merged['cluster_id'].to_numpy())
+    pred_pairs = pair_set(merged['component'].to_numpy())
+    tp = len(true_pairs & pred_pairs)
+    precision = tp / len(pred_pairs) if pred_pairs else 1.0
+    recall = tp / len(true_pairs) if true_pairs else 1.0
+    f1 = (2 * precision * recall / (precision + recall)
+          if precision + recall else 0.0)
+    return {'precision': precision, 'recall': recall, 'f1': f1,
+            'true_pairs': len(true_pairs), 'pred_pairs': len(pred_pairs)}
+
+
+def _assert_f1_equal(clusters_pd, truth_pd):
+    got = pairwise_f1(clusters_pd, truth_pd)
+    want = _pairwise_f1_pairs(clusters_pd, truth_pd)
+    assert got['true_pairs'] == want['true_pairs']
+    assert got['pred_pairs'] == want['pred_pairs']
+    for k in ('precision', 'recall', 'f1'):
+        assert got[k] == pytest.approx(want[k], rel=1e-12), k
+
+
+def test_pairwise_f1_closed_form_equals_pair_oracle(corpus):
+    """On the linkage output and on perturbed clusterings of it: merged
+    components, split components and random labels."""
+    import numpy as np
+    repos, truth = corpus
+    truth_pd = pd.read_parquet(truth)
+    out = record_linkage(repos, threshold=0.7)['clusters'].to_pandas()
+    out = out[['repo', 'path', 'commit', 'component']]
+    _assert_f1_equal(out, truth_pd)
+    rng = np.random.default_rng(5)
+    comps = out['component'].to_numpy()
+    uniq = np.unique(comps)
+    merged = out.assign(component=comps % 7)
+    split = out.assign(component=np.where(rng.random(len(out)) < 0.3,
+                                          -np.arange(len(out)) - 1, comps))
+    noise = out.assign(component=rng.integers(0, len(uniq), len(out)))
+    for frame in (merged, split, noise):
+        _assert_f1_equal(frame, truth_pd)
+
+
+def test_pairwise_f1_one_large_cluster():
+    """One 3,000-record true cluster split into three components, with
+    singletons of which some join the pieces."""
+    import numpy as np
+    n_big, n_single = 3000, 200
+    n = n_big + n_single
+    keys = pd.DataFrame({'repo': ['r'] * n,
+                         'path': [f'p{i}' for i in range(n)],
+                         'commit': ['c'] * n})
+    truth_id = np.concatenate([np.zeros(n_big, np.int64),
+                               np.arange(1, n_single + 1)])
+    comp = np.concatenate([np.arange(n_big) % 3,
+                           np.arange(n_single) + 10])
+    comp[n_big:n_big + 20] = np.arange(20) % 3
+    truth_pd = keys.assign(cluster_id=truth_id)
+    clusters_pd = keys.assign(component=comp)
+    _assert_f1_equal(clusters_pd, truth_pd)
+    got = pairwise_f1(clusters_pd, truth_pd)
+    assert got['true_pairs'] == n_big * (n_big - 1) // 2
+    assert 0 < got['recall'] < 1 and 0 < got['precision'] < 1
+
+
 def test_linkage_resume_skips_completed_stages(corpus, tmp_path):
     repos, truth = corpus
     ckpt = str(tmp_path / 'ckpt2')
