@@ -1,12 +1,14 @@
 """Blocking filters — reference-parity classes on Ray Data.
 
-Mirrors ``/root/reference/py_stringsimjoin/filter/*.py``: each filter offers
+Mirrors the reference's ``filter/*.py``: each filter offers
 ``filter_pair`` (single-pair predicate, pair-local token ordering),
 ``filter_tables`` (table×table candidate generation, global ordering) and the
-inherited ``filter_candset`` (re-check a candidate set).  ``filter_tables``
-runs through the joins' entry point (``join.match_pairs_dataset``): the
-size-gated local route in one Ray task, else the postings shuffle +
-groupby(bucket) pair generation; ``filter_pair`` and the suffix filter's
+inherited ``filter_candset`` (re-check a candidate set).  The prefix,
+position and overlap filters' ``filter_tables`` run through the joins'
+entry point (``join.match_pairs_dataset``) and the joins' one candidate
+kernel (``stages/slimjoin.py``), with the candidates mode as its filter
+predicate: the size-gated local route in one Ray task, else the
+slim-postings Dataset pipeline.  ``filter_pair`` and the suffix filter's
 recursive bound are pure Python.
 """
 

@@ -1,13 +1,15 @@
 """Public join API — reference-parity surface on Ray Data.
 
 Each join mirrors the 15-argument surface of the reference's dispatchers
-(e.g. ``/root/reference/py_stringsimjoin/join/jaccard_join.py:3-112``) but
-executes as a Ray Data pipeline (SURVEY.md §7.0):
+(e.g. the reference's ``join/jaccard_join.py:3-112``) and runs, like the
+``filter_tables`` candidates modes, through ``match_pairs_dataset``: the
+size-gated local route (``stages/localjoin.py``), else a Ray Data pipeline
+(SURVEY.md §7.0):
 
     read → tokenize(map_batches) → token-frequency groupby → ordering
-    artifact (broadcast) → rank+prefix(map_batches) → prefix-token postings
-    (+ heavy-token grid salting) → groupby(bucket).map_groups(pair-gen +
-    exact verify) → matches
+    artifact (broadcast) → rank+prefix(map_batches) → slim-postings
+    pipeline (``stages/slimjoin.py``: signature dedup, rank-free postings
+    with heavy-token grid salting, candgen, verify) → matches
 
 Inputs may be ``pandas.DataFrame`` or ``ray.data.Dataset``.  With
 ``output='pandas'`` (default, reference parity) the result is a DataFrame
@@ -31,9 +33,8 @@ import ray.data
 
 from ..core import validation as V
 from ..core.tokenizers import QgramTokenizer
-from ..stages.pairgen import PairGenVerify
-from ..stages.postings import (PostingsStage, RankPrefixStage,
-                               heavy_token_table, make_rank_lookup)
+from ..stages.postings import (RankPrefixStage, heavy_token_table,
+                               make_rank_lookup)
 from ..stages.tokenize import TokenizeStage, token_frequencies
 
 # cap on shuffle buckets; the per-join formula scales buckets with input
@@ -97,6 +98,14 @@ class _JoinConfig:
         # only EDIT_DISTANCE joins read the strings (Levenshtein verify);
         # the candidates modes never do
         self.keep_string = sim_type == 'EDIT_DISTANCE' and mode == 'join'
+        # per-task candgen / verify volumes of a local-route join, appended
+        # in process (``record_linkage`` resets and summarizes them)
+        self.skew_volumes: dict = {}
+        # name of the SkewStats actor the Dataset-route kernels report to
+        self.skew_name: str | None = None
+        # the caller already sized the input against the local caps and
+        # chose the Dataset route
+        self.skip_local_probe = False
 
 
 def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
@@ -107,12 +116,12 @@ def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
                      and l_join_attr == r_join_attr)
 
     # size-gated local route (stages/localjoin.py), for joins and the
-    # filter_tables candidates modes: identical kernels run in-process (or
-    # in one task, for the candidates modes; plain-task fan-out for big
-    # candidate sets), skipping the Dataset stage barriers that dominate
-    # small-input latency.  The probe-and-fetch is bounded (limit(cap+1)),
-    # so huge inputs pay O(cap) rows to be routed to the distributed
-    # pipeline below.
+    # filter_tables candidates modes: the slim-postings kernels run
+    # in-process (or in one task, for the candidates modes; plain-task
+    # fan-out for big candidate sets), skipping the Dataset stage barriers
+    # that dominate small-input latency.  The probe-and-fetch is bounded
+    # (limit(cap+1)), so huge inputs pay O(cap) rows to be routed to the
+    # distributed pipeline below.
     from ..stages.localjoin import local_join_eligible, local_match_pairs
     if local_join_eligible(l_ds, r_ds, cfg, same_relation):
         res = local_match_pairs(l_ds, r_ds, l_key_attr, r_key_attr,
@@ -128,8 +137,8 @@ def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
             .map_batches(TokenizeStage(key_attr, join_attr, cfg.tokenizer,
                                        keep_string=cfg.keep_string),
                          batch_format='pyarrow').materialize()
-        # enough blocks that the downstream groupby(bucket).map_groups stage
-        # gets fine-grained tasks (its task count follows the shuffle's block
+        # enough blocks that the downstream map_groups stages get
+        # fine-grained tasks (their task count follows the shuffle's block
         # count; coarse blocks leave multi-second stragglers), but never
         # explode tiny tables into empty blocks
         want = int(min(int(ray.cluster_resources().get('CPU', 8)) * 8,
@@ -145,9 +154,8 @@ def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
         tok_r = _tokenized(r_ds, r_key_attr, r_join_attr)
 
     import os as _os
-    if cfg.mode == 'join' and (
-            _os.environ.get('SSJ_DISTRIBUTED_ORDERING') == '1'
-            or getattr(cfg, 'distributed_ordering', False)):
+    if cfg.mode == 'join' \
+            and _os.environ.get('SSJ_DISTRIBUTED_ORDERING') == '1':
         # beyond-driver-vocabulary path (VERDICT r1 #4): ordering built and
         # applied entirely with distributed shuffles; the driver never holds
         # the vocabulary (only the tiny heavy-token list for salting)
@@ -202,65 +210,37 @@ def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
                                 keep_string=cfg.keep_string)
         return tok_ds.map_batches(stage, batch_format='pyarrow')
 
-    # Self-relation joins ship each record's postings ONCE and let every
-    # class act as both sides in the bucket kernel — halves the one shuffle.
-    single_side = same_relation and cfg.mode != 'position_candidates'
+    # a self-relation posts each record ONCE and every signature acts as
+    # both sides — except for position_candidates, whose size bounds are
+    # not symmetric under the bounds' rounding
+    one_side = same_relation and cfg.mode != 'position_candidates'
 
     # Adapt bucket count to the input: each bucket group pays a fixed kernel
-    # cost (temp-table statements, class build), so small inputs want fewer,
-    # fuller buckets; large inputs keep cfg.num_buckets for packing/skew.
-    rows_est = tok_l.count() + (0 if single_side else tok_r.count())
+    # cost, so small inputs want fewer, fuller buckets; large inputs keep
+    # cfg.num_buckets for packing/skew.
+    rows_est = tok_l.count() + (0 if one_side else tok_r.count())
     cfg.num_buckets = int(min(cfg.num_buckets,
                               max(32,
                                   int(ray.cluster_resources().get('CPU', 8)) * 4,
                                   rows_est // 400)))
 
-    if cfg.mode == 'join':
-        # scale path: signature dedup + slim rank-free postings + verify-time
-        # re-attach (stages/slimjoin.py) — candidate-generation shuffle
-        # volume drops from O(n·p) to O(p) per record
-        from ..stages.slimjoin import slim_match_pairs
-        # Gate hint = estimated bytes of the broadcast signature table
-        # (_TsigBroadcast), NOT the tokenized dataset: rank arrays are
-        # int32 (4 B/token occurrence, strings only for EDIT_DISTANCE whose
-        # verify needs them, ~1 B/token for qgram bags) plus ~64 B/record
-        # of keys/offsets/sizes.  The string-bytes estimate routed corpora
-        # to the distributed path 2x+ too early (measured 10x slower at
-        # 1.5M records than the broadcast kernel it was protecting).
-        try:
-            per_tok = 5 if cfg.keep_string else 4
-            size_hint = tot_tokens * per_tok + rows_est * 64
-        except Exception:  # pragma: no cover
-            size_hint = None
-        pairs = slim_match_pairs(ranked(tok_l),
-                                 None if same_relation else ranked(tok_r),
-                                 cfg, heavy_ref, same_relation,
-                                 size_bytes_hint=size_hint)
-        empties = _empty_key_sets(cfg, tok_l, tok_r)
-        return pairs, empties
-
-    ranked_l = ranked(tok_l)
-    post_l = ranked_l.map_batches(
-        PostingsStage(0, cfg.num_buckets, heavy_ref, cfg.keep_string,
-                      same_relation=single_side),
-        batch_format='pyarrow')
-    if single_side:
-        postings = post_l
-    else:
-        ranked_r = ranked(tok_r)
-        post_r = ranked_r.map_batches(
-            PostingsStage(1, cfg.num_buckets, heavy_ref, cfg.keep_string),
-            batch_format='pyarrow')
-        postings = post_l.union(post_r)
-
-    pair_fn = PairGenVerify(cfg.sim_type, cfg.threshold, cfg.comp_op,
-                            qval=cfg.qval, mode=cfg.mode,
-                            same_relation=single_side)
-    # pyarrow group format: rank arrays reach the kernel as zero-copy slices
-    # of the block's flat values buffer instead of per-row boxed objects
-    pairs = postings.groupby('bucket') \
-        .map_groups(pair_fn, batch_format='pyarrow')
-
+    # scale path: signature dedup + slim rank-free postings + verify-time
+    # re-attach (stages/slimjoin.py) — candidate-generation shuffle volume
+    # is O(p) per distinct record.  Gate hint = estimated bytes of the
+    # broadcast signature table (_TsigBroadcast), NOT the tokenized
+    # dataset: rank arrays are int32 (4 B/token occurrence, strings only for
+    # EDIT_DISTANCE joins whose verify needs them, ~1 B/token for qgram
+    # bags) plus ~64 B/record of keys/offsets/sizes.  The string-bytes
+    # estimate routed corpora to the distributed path 2x+ too early
+    # (measured 10x slower at 1.5M records than the broadcast kernel it was
+    # protecting).
+    from ..stages.slimjoin import slim_match_pairs
+    per_tok = 5 if cfg.keep_string else 4
+    size_hint = tot_tokens * per_tok + rows_est * 64
+    pairs = slim_match_pairs(ranked(tok_l),
+                             None if one_side else ranked(tok_r),
+                             cfg, heavy_ref, one_side,
+                             size_bytes_hint=size_hint)
     return pairs, _empty_key_sets(cfg, tok_l, tok_r)
 
 

@@ -141,7 +141,7 @@ def _cc_arrays(*match_blocks):
         return (v.to_numpy() if isinstance(b, pd.DataFrame)
                 else v.to_numpy(zero_copy_only=False))
 
-    # blocks may be Arrow or pandas; empty pairgen groups can yield
+    # blocks may be Arrow or pandas; empty verify groups can yield
     # schemaless blocks — skip those
     match_blocks = [b for b in match_blocks if 'l_id' in cols(b)]
     us = [col(b, 'l_id').astype(np.int64) for b in match_blocks]

@@ -35,7 +35,7 @@ def _token_hashes(tokens) -> np.ndarray:
     n = len(tokens)
     if n == 0:
         return np.empty(0, np.uint64)
-    from .pairgen import _duck
+    from .postings import _duck
     con = _duck()
     if con is None or n < 64:  # tiny lists: the round-trip costs more
         return np.fromiter(
@@ -95,7 +95,7 @@ def exact_dedup(ds: ray.data.Dataset, id_col: str, text_col: str,
     per-group min-id representative (SURVEY.md §2.6 pattern)."""
 
     def hash_batch(batch: pa.Table) -> pa.Table:
-        from .pairgen import _duck
+        from .postings import _duck
         con = _duck()
         col = batch[text_col].combine_chunks() \
             if isinstance(batch[text_col], pa.ChunkedArray) \

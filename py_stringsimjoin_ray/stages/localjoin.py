@@ -1,7 +1,7 @@
-"""Size-gated local route with three callers: joins (``mode='join'``) and
-the ``filter_tables`` candidates modes, both through
-``join.match_pairs_dataset``, and ``record_linkage``'s local route, whose
-one Ray task calls ``local_match_pairs`` on its in-memory ingest table.
+"""Size-gated local route of ``join.match_pairs_dataset`` — joins
+(``mode='join'``) and the ``filter_tables`` candidates modes — and of
+``record_linkage``'s local route, whose one Ray task calls
+``local_match_pairs`` on its in-memory ingest table.
 
 A Ray Data pipeline pays ~8 stage barriers (tokenize, vocabulary,
 signature fold, postings shuffle, candgen, verify, expand) at 0.3-0.6 s
@@ -10,22 +10,22 @@ makes a 10k x 10k join ~30x slower than the reference's single-process
 loop (measured: 4.6 s warm vs 0.39 s).  This module runs the SAME stage
 kernels on in-memory Arrow tables, fanning the heavy step out to plain
 Ray tasks when the work is large enough to parallelize — no Dataset
-machinery, so the whole call is kernel-bound:
+machinery, so the whole call is kernel-bound.
 
-* joins (``mode='join'``), on the driver: ``TokenizeStage`` -> rank
-  lookup -> ``RankPrefixStage`` -> ``SigStage`` -> Tsig fold ->
-  ``SlimPostingsStage`` -> ``_np_candidates`` -> ``BroadcastVerify``;
-* ``record_linkage`` below the same caps: the join above, run inside
-  the pipeline's one task on a ``pa.Table``, with its candgen / verify
-  task volumes collected in process (``cfg.skew_volumes``);
-* the candidates modes of ``Filter.filter_tables`` (prefix, position,
-  overlap), in ONE Ray task so their O(n·p) postings never
-  reach the driver: ``TokenizeStage`` -> rank lookup ->
-  ``RankPrefixStage`` -> ``PostingsStage`` -> bucket sort ->
-  ``PairGenVerify`` once per bucket, i.e. exactly the groups the Dataset
-  route's ``groupby('bucket').map_groups`` hands the kernel.  When the
-  postings would exceed the byte gate the task returns None and the
-  caller takes the Dataset route.
+One body, ``_local_pairs``, serves every mode: ``TokenizeStage`` -> rank
+lookup -> ``RankPrefixStage`` -> ``SigStage`` -> Tsig fold
+(``_local_tsig``) -> ``SlimPostingsStage`` -> ``_np_candidates`` ->
+``np.unique`` -> ``BroadcastVerify``, with ``cfg.mode`` selecting the
+candgen gates and the verify predicate (``stages/slimjoin.py``):
+
+* joins run it on the driver; ``record_linkage`` below the same caps runs
+  the join inside the pipeline's one task on a ``pa.Table``, with its
+  candgen / verify task volumes collected in process
+  (``cfg.skew_volumes``);
+* the candidates modes run it in ONE Ray task (``_CANDIDATES_TASK``), so
+  their postings — every token, for ``overlap_candidates`` — never reach
+  the driver.  When those postings would exceed the byte gate the task
+  returns None and the caller takes the Dataset route.
 
 Gate: both inputs at most ``SSJ_LOCAL_MAX_ROWS`` (default 1M) total rows
 and ``SSJ_LOCAL_MAX_BYTES`` (default 128 MB) of fetched payload, probed
@@ -57,11 +57,9 @@ import pyarrow.compute as pc
 import ray
 
 from ..core.comp_ops import COMP_OP_MAP
-from .pairgen import PairGenVerify
-from .postings import (PostingsStage, RankPrefixStage, heavy_token_table,
-                       make_rank_lookup)
+from .postings import RankPrefixStage, heavy_token_table, make_rank_lookup
 from .slimjoin import (BroadcastVerify, SigStage, SlimPostingsStage,
-                       _np_candidates, _TsigBroadcast)
+                       _np_candidates, _pairs_frame, _TsigBroadcast)
 from .tokenize import TokenizeStage, partial_token_counts
 
 DEFAULT_LOCAL_MAX_ROWS = 1_000_000
@@ -79,6 +77,9 @@ _FANOUT_PAIRS = 250_000
 # not posting count: a 5-token prefix over 15k records is only 75k postings
 # but can mean 10^8 pair tests concentrated in a few dense buckets
 _FANOUT_WORK = 5_000_000
+# bytes of one slim postings row (bucket, tok, sig, sz, pos: int32; kh:
+# int16; hl, hr: int8) — the candidates modes' memory guard
+_POSTING_ROW_BYTES = 24
 
 
 def local_join_eligible(ltable, rtable, cfg, same_relation: bool) -> bool:
@@ -88,14 +89,10 @@ def local_join_eligible(ltable, rtable, cfg, same_relation: bool) -> bool:
     already sized the input against the caps and chose the Dataset
     route."""
     flag = os.environ.get('SSJ_LOCAL_JOIN', '1')
-    if flag == '0' or getattr(cfg, 'skip_local_probe', False):
+    if flag == '0' or cfg.skip_local_probe:
         return False
-    if getattr(cfg, 'force_distributed', False) \
-            or os.environ.get('SSJ_FORCE_DISTRIBUTED') == '1' \
-            or os.environ.get('SSJ_DISTRIBUTED_ORDERING') == '1' \
-            or getattr(cfg, 'distributed_ordering', False):
-        return False
-    return True
+    return not (os.environ.get('SSJ_FORCE_DISTRIBUTED') == '1'
+                or os.environ.get('SSJ_DISTRIBUTED_ORDERING') == '1')
 
 
 def _local_row_cap() -> int:
@@ -180,10 +177,9 @@ def _fetch_local(table, cols: list, cap: int,
     return t
 
 
-def _empty_pairs() -> pd.DataFrame:
-    return pd.DataFrame({'l_key': np.array([], object),
-                         'r_key': np.array([], object),
-                         '_sim_score': np.array([], np.float64)})
+def _empty_pairs(mode: str = 'join') -> pd.DataFrame:
+    return _pairs_frame(mode, np.array([], object), np.array([], object),
+                        np.array([], np.float64))
 
 
 def _local_empties(cfg, tok_l: pa.Table, tok_r: pa.Table) -> dict:
@@ -274,9 +270,10 @@ def _local_tsig(tagged: pa.Table, same_relation: bool, keep_string: bool):
     return bc, tsig_tbl
 
 
-def _candgen_chunk(tbl: pa.Table, sim_type: str, threshold, same_relation):
+def _candgen_chunk(tbl: pa.Table, cfg, same_relation: bool) -> np.ndarray:
     """Candidate pair64s for one postings slice (whole buckets only)."""
-    sa, sb = _np_candidates(tbl, sim_type, threshold, same_relation)
+    sa, sb = _np_candidates(tbl, cfg.sim_type, cfg.threshold, same_relation,
+                            mode=cfg.mode)
     if len(sa) == 0:
         return np.empty(0, np.int64)
     return np.unique((sa << np.int64(32)) | sb)
@@ -569,32 +566,21 @@ def _tokenize_sides(arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr,
                                 keep_string=cfg.keep_string)(arr_r)
 
 
-def _pairgen_buckets(postings: pa.Table, pair_fn) -> list:
-    """Non-empty outputs of ``pair_fn`` run once per bucket of ``postings``
-    — the groups ``postings.groupby('bucket').map_groups(pair_fn)`` would
-    form."""
-    order = np.argsort(postings['bucket'].to_numpy(), kind='stable')
-    postings = postings.take(pa.array(order))
-    _, starts = np.unique(postings['bucket'].to_numpy(), return_index=True)
-    ends = np.append(starts[1:], len(order))
-    frames = [pair_fn(postings.slice(a, b - a)) for a, b in zip(starts, ends)]
-    return [f for f in frames if len(f)]
-
-
-def _local_candidates(arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr,
-                      r_join_attr, cfg, byte_cap: int, fanout: tuple):
-    """Candidates-mode body (prefix / position / overlap) → (pairs, empties),
-    or None when the postings would exceed ``byte_cap`` (the caller then
-    takes the Dataset route).  Same stages, salting, side rule and bucket
-    count as ``join.match_pairs_dataset``; the bucket groups run through
-    ``PairGenVerify`` in process, or in up to ``cpus`` plain tasks past the
-    ``fanout`` = (postings, pair tests) thresholds, which the caller reads
-    from this module in its own process.  ``arr_r is None`` means the same
-    relation."""
+def _local_pairs(arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr,
+                 r_join_attr, cfg, byte_cap: int, fanout: tuple):
+    """Local body of every mode → (pairs, empties), or None when a
+    candidates mode's postings would exceed ``byte_cap`` (the caller then
+    takes the Dataset route).  The Dataset route's stages, salting, side
+    rule and kernels, in process; candgen / verify fan out to up to
+    ``cpus`` plain tasks past the ``fanout`` = (postings, pair tests,
+    candidate pairs) thresholds, which the caller reads from this module in
+    its own process.  ``arr_r is None`` means the same relation."""
     same_relation = arr_r is None
     tok_l, tok_r = _tokenize_sides(arr_l, arr_r, l_key_attr, r_key_attr,
                                    l_join_attr, r_join_attr, cfg)
     empties = _local_empties(cfg, tok_l, tok_r)
+    volumes = cfg.skew_volumes
+
     lut, heavy, _tot = _local_lut([tok_l] if same_relation else
                                   [tok_l, tok_r], cfg)
     # overlap_candidates posts every token: OVERLAP_COEFFICIENT's prefix is
@@ -603,57 +589,76 @@ def _local_candidates(arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr,
                    else cfg.sim_type)
     rp = RankPrefixStage(lut, prefix_type, cfg.threshold, cfg.qval,
                          keep_string=cfg.keep_string)
-    ranked_l = rp(tok_l)
-    ranked_r = ranked_l if same_relation else rp(tok_r)
-    # self-relation inputs post each record once (every class acts as both
-    # sides), except position_candidates
-    single_side = same_relation and cfg.mode != 'position_candidates'
-    sides = [ranked_l] if single_side else [ranked_l, ranked_r]
+    sig = SigStage(hash_string=cfg.keep_string)
+    ranked_l = sig(rp(tok_l))
+    ranked_r = ranked_l if same_relation else sig(rp(tok_r))
+    # the Dataset route's side rule (join.match_pairs_dataset)
+    one_side = same_relation and cfg.mode != 'position_candidates'
 
-    # each posting carries its record's whole rank array: O(n·p) bytes
-    est = 0
-    for t in sides:
-        sz = t['sz'].to_numpy().astype(np.int64)
-        plen = np.minimum(t['plen'].to_numpy().astype(np.int64), sz)
-        est += int((plen * (4 * sz + 40)).sum())
-    if est > byte_cap:
-        return None
+    def tag(t: pa.Table, side: int) -> pa.Table:
+        return t.append_column(
+            'side', pa.array(np.full(len(t), side, np.int8)))
 
-    cpus = int(ray.cluster_resources().get('CPU', 8))
-    rows = sum(len(t) for t in sides)
-    nb = int(min(cfg.num_buckets, max(32, cpus * 4, rows // 400)))
-    postings = pa.concat_tables([
-        PostingsStage(side, nb, heavy or None, cfg.keep_string,
-                      same_relation=single_side)(t)
-        for side, t in enumerate(sides)])
-    pair_fn = PairGenVerify(cfg.sim_type, cfg.threshold, cfg.comp_op,
-                            qval=cfg.qval, mode=cfg.mode,
-                            same_relation=single_side)
-    chunks = _bucket_chunks(postings['bucket'].to_numpy(), cpus, *fanout)
-    if chunks is None:
-        frames = _pairgen_buckets(postings, pair_fn)
-    else:
+    tagged = (tag(ranked_l, 0) if one_side else
+              pa.concat_tables([tag(ranked_l, 0), tag(ranked_r, 1)]))
+    bc, tsig_tbl = _local_tsig(tagged, one_side, cfg.keep_string)
+    if bc is None:
+        return _empty_pairs(cfg.mode), empties
+    if cfg.mode != 'join':
+        # memory guard: the slim postings of the distinct signatures
+        rows = int(np.minimum(bc.plen, np.diff(bc.rank_off)).sum())
+        if rows * _POSTING_ROW_BYTES > byte_cap:
+            return None
+
+    if _overlap_count_route(cfg, bc):
+        return _overlap_count_pairs(bc, cfg, same_relation), empties
+
+    nb = int(min(cfg.num_buckets, max(32, len(tsig_tbl) // 4 + 16)))
+    postings = SlimPostingsStage(nb, heavy or None,
+                                 emit_sides=not one_side)(tsig_tbl)
+
+    cpus = int(ray.cluster_resources().get('CPU', 8)) \
+        if ray.is_initialized() else 0
+    chunks = _bucket_chunks(postings['bucket'].to_numpy(), cpus,
+                            fanout[0], fanout[1])
+    if chunks is not None:
         ntasks, chunk_of = chunks
-        refs = [_PAIRGEN_TASK.remote(
-            postings.filter(pa.array(chunk_of == i)), pair_fn)
-            for i in range(ntasks)]
-        frames = [f for part in ray.get(refs) for f in part]
-    pairs = (pd.concat(frames, ignore_index=True) if frames
-             else pair_fn._empty_frame())
-    return pairs, empties
+        rem = ray.remote(num_cpus=1)(_candgen_chunk)
+        refs = [rem.remote(postings.filter(pa.array(chunk_of == i)), cfg,
+                           one_side)
+                for i in range(ntasks)]
+        parts = [p for p in ray.get(refs) if len(p)]
+        volumes.setdefault('candgen', []).extend(len(p) for p in parts)
+        pair64 = (np.unique(np.concatenate(parts))
+                  if parts else np.empty(0, np.int64))
+    else:
+        pair64 = _candgen_chunk(postings, cfg, one_side)
+        volumes.setdefault('candgen', []).append(len(pair64))
+    if len(pair64) == 0:
+        return _empty_pairs(cfg.mode), empties
+
+    if len(pair64) > fanout[2] and cpus > 1:
+        bc_ref = ray.put(bc)
+        rem = ray.remote(num_cpus=1)(_verify_chunk)
+        chunks = [c for c in np.array_split(pair64, cpus) if len(c)]
+        outs = ray.get([rem.remote(bc_ref, c, cfg, one_side)
+                        for c in chunks])
+    else:
+        outs = [_verify_chunk(bc, pair64, cfg, one_side)]
+    volumes.setdefault('verify', []).extend(n for _, n in outs)
+    return pd.concat([d for d, _ in outs], ignore_index=True), empties
 
 
-_CANDIDATES_TASK = ray.remote(num_cpus=1)(_local_candidates)
-_PAIRGEN_TASK = ray.remote(num_cpus=1)(_pairgen_buckets)
+_CANDIDATES_TASK = ray.remote(num_cpus=1)(_local_pairs)
 
 
-def _verify_chunk(bc_or_ref, pair64: np.ndarray, sim_type, threshold,
-                  comp_op, qval, same_relation, self_join,
-                  counter_name) -> tuple:
+def _verify_chunk(bc_or_ref, pair64: np.ndarray, cfg,
+                  same_relation: bool) -> tuple:
     """(pairs, record pairs verified) for one slice of candidates."""
-    vf = BroadcastVerify(bc_or_ref, sim_type, threshold, comp_op, qval,
-                         same_relation=same_relation, self_join=self_join,
-                         round_score=True, counter_name=counter_name)
+    vf = BroadcastVerify(bc_or_ref, cfg.sim_type, cfg.threshold, cfg.comp_op,
+                         cfg.qval, same_relation=same_relation,
+                         self_join=cfg.self_join, round_score=True,
+                         counter_name=cfg.counter_name, mode=cfg.mode)
     if not isinstance(bc_or_ref, ray.ObjectRef):
         vf._bc = bc_or_ref
     df = vf(pa.table({'vb': pa.array(np.zeros(len(pair64), np.int32)),
@@ -664,14 +669,14 @@ def _verify_chunk(bc_or_ref, pair64: np.ndarray, sim_type, threshold,
 def local_match_pairs(ltable, rtable, l_key_attr, r_key_attr,
                       l_join_attr, r_join_attr, cfg,
                       same_relation: bool):
-    """Local body → (pairs DataFrame, empties dict), or None when either
+    """Local route → (pairs DataFrame, empties dict), or None when either
     input exceeds the size gate (caller falls through to the Dataset
-    pipeline).  Joins run in-process; the candidates modes run in one Ray
-    task (``_local_candidates``).  Exact-same kernels and therefore
-    exact-same output as the Dataset pipeline (pinned by
+    pipeline).  Joins run ``_local_pairs`` in-process; the candidates modes
+    run it in one Ray task (``_CANDIDATES_TASK``).  Exact-same kernels and
+    therefore exact-same output as the Dataset pipeline (pinned by
     tests/test_local_join.py and tests/test_local_filters.py against
-    SSJ_LOCAL_JOIN=0 runs).  A join whose ``cfg.skew_volumes`` is a dict
-    appends its per-task candgen / verify volumes there, in process: the
+    SSJ_LOCAL_JOIN=0 runs).  A join appends its per-task candgen / verify
+    volumes to ``cfg.skew_volumes``, in process: the
     ``skewstats.summarize`` input, the numbers the Dataset route's kernels
     report to a ``SkewStats`` actor."""
     cap = _local_row_cap()
@@ -685,75 +690,12 @@ def local_match_pairs(ltable, rtable, l_key_attr, r_key_attr,
                              cap - len(arr_l), byte_cap - arr_l.nbytes)
         if arr_r is None:
             return None
+    fanout = (_FANOUT_POSTINGS, _FANOUT_WORK, _FANOUT_PAIRS)
     if cfg.mode != 'join':
-        # the candidates body runs in one task: its O(n·p) postings never
-        # reach the driver
+        # the candidates modes run in one task: their postings never reach
+        # the driver
         return ray.get(_CANDIDATES_TASK.remote(
             arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr, r_join_attr,
-            cfg, byte_cap, (_FANOUT_POSTINGS, _FANOUT_WORK)))
-    tok_l, tok_r = _tokenize_sides(arr_l, arr_r, l_key_attr, r_key_attr,
-                                   l_join_attr, r_join_attr, cfg)
-    empties = _local_empties(cfg, tok_l, tok_r)
-    volumes = getattr(cfg, 'skew_volumes', {})
-
-    keep_string = cfg.keep_string
-    lut, heavy, _tot = _local_lut([tok_l] if same_relation else
-                                  [tok_l, tok_r], cfg)
-    rp = RankPrefixStage(lut, cfg.sim_type, cfg.threshold, cfg.qval,
-                         keep_string=keep_string)
-    sig = SigStage(hash_string=keep_string)
-
-    def tag(t: pa.Table, side: int) -> pa.Table:
-        t = sig(rp(t))
-        return t.append_column(
-            'side', pa.array(np.full(len(t), side, np.int8)))
-
-    tagged = (tag(tok_l, 0) if same_relation else
-              pa.concat_tables([tag(tok_l, 0), tag(tok_r, 1)]))
-    bc, tsig_tbl = _local_tsig(tagged, same_relation, keep_string)
-    if bc is None:
-        return _empty_pairs(), empties
-
-    if _overlap_count_route(cfg, bc):
-        return _overlap_count_pairs(bc, cfg, same_relation), empties
-
-    nb = int(min(cfg.num_buckets, max(32, len(tsig_tbl) // 4 + 16)))
-    postings = SlimPostingsStage(nb, heavy or None,
-                                 emit_sides=not same_relation)(tsig_tbl)
-
-    cpus = int(ray.cluster_resources().get('CPU', 8)) \
-        if ray.is_initialized() else 0
-    chunks = _bucket_chunks(postings['bucket'].to_numpy(), cpus,
-                            _FANOUT_POSTINGS, _FANOUT_WORK)
-    if chunks is not None:
-        ntasks, chunk_of = chunks
-        rem = ray.remote(num_cpus=1)(_candgen_chunk)
-        refs = [rem.remote(postings.filter(pa.array(chunk_of == i)),
-                           cfg.sim_type, cfg.threshold, same_relation)
-                for i in range(ntasks)]
-        parts = [p for p in ray.get(refs) if len(p)]
-        volumes.setdefault('candgen', []).extend(len(p) for p in parts)
-        pair64 = (np.unique(np.concatenate(parts))
-                  if parts else np.empty(0, np.int64))
-    else:
-        pair64 = _candgen_chunk(postings, cfg.sim_type, cfg.threshold,
-                                same_relation)
-        volumes.setdefault('candgen', []).append(len(pair64))
-    if len(pair64) == 0:
-        return _empty_pairs(), empties
-
-    if len(pair64) > _FANOUT_PAIRS and cpus > 1:
-        bc_ref = ray.put(bc)
-        rem = ray.remote(num_cpus=1)(_verify_chunk)
-        chunks = [c for c in np.array_split(pair64, cpus) if len(c)]
-        outs = ray.get([rem.remote(bc_ref, c, cfg.sim_type, cfg.threshold,
-                                   cfg.comp_op, cfg.qval, same_relation,
-                                   cfg.self_join, cfg.counter_name)
-                        for c in chunks])
-    else:
-        outs = [_verify_chunk(bc, pair64, cfg.sim_type, cfg.threshold,
-                              cfg.comp_op, cfg.qval, same_relation,
-                              cfg.self_join, cfg.counter_name)]
-    volumes.setdefault('verify', []).extend(n for _, n in outs)
-    df = pd.concat([d for d, _ in outs], ignore_index=True)
-    return df, empties
+            cfg, byte_cap, fanout))
+    return _local_pairs(arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr,
+                        r_join_attr, cfg, byte_cap, fanout)

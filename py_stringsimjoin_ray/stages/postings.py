@@ -1,20 +1,17 @@
-"""Rank/prefix stage and prefix-token postings generation.
+"""Token ordering and the rank/prefix stage, plus the DuckDB kernels the
+join stages share.
 
-This is the Ray-Data re-expression of the reference's broadcast in-process
-indexes (``index/position_index.py``, ``index/prefix_index.py``,
-``index/inverted_index.py``): instead of copying an index over L into every
-worker, each record emits one posting per PREFIX token (rarest ``plen``
-tokens), postings are hash-bucketed on the token, and candidate generation
-happens inside per-bucket groups (VernicaJoin-style; the full rank array
-rides along on the posting so verification is local to the group — one
-shuffle end to end).
-
-Skew handling ("license headers, boilerplate" per the north star): tokens
-whose document frequency exceeds ``salt_df_threshold`` get a g×g grid of
-dedicated cells — L-side postings are salted by ``hash(key) % g`` into a
-grid row and replicated across the g columns, R-side postings into a grid
-column and replicated across rows, so any (L,R) pair meets in exactly one
-cell and no single group sees df_L × df_R pairs.
+The ordering artifact is the reference's global token order
+(``utils/token_ordering.py:24-42``: rarest first, ties by token) built once
+per join as a hash -> rank lookup (``make_rank_lookup``, or the fused
+one-pass ``fused_rank_lookup`` for hash-tie set-measure joins), together
+with the heavy-token table: tokens whose document frequency reaches
+``salt_df_threshold`` get a g x g salting grid
+(``slimjoin.SlimPostingsStage``).  ``RankPrefixStage`` maps each record's
+tokens to ascending ranks and computes its prefix length.  The postings
+themselves are built from the deduplicated signature table by
+``slimjoin.SlimPostingsStage`` for every join and every ``filter_tables``
+candidates mode.
 """
 
 from __future__ import annotations
@@ -30,10 +27,66 @@ KNUTH = np.uint64(2654435761)
 MAX_GRID = 16
 MAX_GRID_AREA = MAX_GRID * MAX_GRID
 
+
+def _duck():
+    """One cached in-process DuckDB connection per worker (None if duckdb is
+    unavailable)."""
+    global _DUCK
+    try:
+        return _DUCK
+    except NameError:
+        pass
+    try:
+        import duckdb
+        _DUCK = duckdb.connect()
+        # each kernel task is one CPU slot; don't oversubscribe, and cap
+        # the buffer manager so N concurrent per-worker connections don't
+        # each assume they own the node's RAM
+        _DUCK.execute('SET threads TO 1')
+        _DUCK.execute("SET memory_limit='2GB'")
+        _DUCK.execute('SET preserve_insertion_order=false')
+    except ImportError:  # pragma: no cover
+        _DUCK = None
+    return _DUCK
+
+
+def _lev_many(l_strings, r_strings):
+    """Vectorized Levenshtein over pair lists via DuckDB's C++ kernel, with a
+    numpy-DP fallback.
+
+    DuckDB's ``levenshtein`` is BYTE-based ('café' vs 'cafe' = 2), while the
+    reference (and ``core.measures.levenshtein``) is CHARACTER-based (= 1) —
+    pairs where either string contains non-ASCII go through the exact
+    character DP instead."""
+    con = _duck()
+    if con is None:  # pragma: no cover
+        from ..core.measures import levenshtein
+        return np.array([levenshtein(a, b)
+                         for a, b in zip(l_strings, r_strings)],
+                        dtype=np.int64)
+    a_arr = pa.array(l_strings, type=pa.string())
+    b_arr = pa.array(r_strings, type=pa.string())
+    # byte length == char length ⟺ pure ASCII (for valid UTF-8)
+    ascii_pair = (
+        pa.compute.equal(pa.compute.binary_length(a_arr),
+                         pa.compute.utf8_length(a_arr)).to_numpy(
+                             zero_copy_only=False)
+        & pa.compute.equal(pa.compute.binary_length(b_arr),
+                           pa.compute.utf8_length(b_arr)).to_numpy(
+                               zero_copy_only=False))
+    tbl = pa.table({'a': a_arr, 'b': b_arr})
+    res = con.execute('SELECT levenshtein(a, b) FROM tbl').fetchnumpy()
+    out = next(iter(res.values())).astype(np.int64)
+    if not ascii_pair.all():
+        from ..core.measures import levenshtein
+        for i in np.nonzero(~ascii_pair)[0]:
+            out[i] = levenshtein(l_strings[i], r_strings[i])
+    return out
+
+
 def _token_hashes(values: pa.Array) -> np.ndarray:
     """Deterministic vectorized 64-bit string hashes via DuckDB's C kernel
     (no per-token Python boxing)."""
-    from .pairgen import _duck
     con = _duck()
     tbl = pa.table({'t': values})
     con.register('t_hash_in', tbl)
@@ -393,22 +446,6 @@ def map_tokens_to_ranks(lut: dict, token_values: pa.Array,
     return (idx.get_indexer(token_values.to_pandas()) + 1).astype(np.int64)
 
 
-def bucket_of(tok_ranks: np.ndarray, num_buckets: int) -> np.ndarray:
-    return ((tok_ranks.astype(np.uint64) * KNUTH) >> np.uint64(7)) % np.uint64(num_buckets)
-
-
-def _stable_key_hash(keys) -> np.ndarray:
-    """Deterministic vectorized per-key hash for grid salting (independent of
-    Python hash randomization).  Integer keys get a Knuth multiplicative mix;
-    everything else goes through the DuckDB string-hash kernel."""
-    arr = keys if isinstance(keys, pa.Array) else pa.array(list(keys))
-    if pa.types.is_integer(arr.type):
-        v = arr.to_numpy(zero_copy_only=False).astype(np.uint64)
-        v = (v ^ (v >> np.uint64(31))) * np.uint64(0x9E3779B97F4A7C15)
-        return v ^ (v >> np.uint64(29))
-    return _token_hashes(pa.compute.cast(arr, pa.string()))
-
-
 class RankPrefixStage:
     """(key, tokens[, s]) → (key, sz, ranks, plen[, s]).
 
@@ -466,145 +503,6 @@ class RankPrefixStage:
         if self.keep_string:
             cols['s'] = batch['s']
         return pa.table(cols)
-
-
-class PostingsStage:
-    """Explode each record into one posting per prefix token and assign
-    shuffle buckets (with grid salting for heavy tokens).
-
-    Output columns: bucket:int64, tok:int64, side:int8,
-    key, sz:int32, ranks:list<int64>, plen:int32 [, s:string].
-    (Token positions are NOT carried: the verify/position-filter kernels
-    recompute them by binary search on the sorted rank arrays.)
-
-    SCALE NOTE: this stage serves ONLY the reference-parity FILTER
-    blockers (``mode='overlap_candidates' / 'prefix_candidates' /
-    'position_candidates'`` — ``Filter.filter_tables``), whose contract is
-    the exact reference pair set of one named filter, and whose kernels
-    need both rank arrays per pair.  It carries each record's rank array
-    on every posting (O(n·p) payload per record).  Inputs under the local
-    gate build the postings inside one Ray task
-    (``stages/localjoin._local_candidates``), with no shuffle, and fall
-    back to the ``groupby('bucket')`` Dataset route when the estimated
-    posting bytes exceed ``SSJ_LOCAL_MAX_BYTES``.  The JOIN core — the
-    100-TB path — does NOT use it: ``mode='join'`` routes through
-    ``stages/slimjoin.py`` (16–26 B rank-free postings, signature dedup,
-    broadcast/sharded verify-time attach).  Pipelines that must block at
-    corpus scale should use the joins, not ``filter_tables``.
-    """
-
-    def __init__(self, side: int, num_buckets: int,
-                 heavy_ref=None, keep_string: bool = False,
-                 same_relation: bool = False):
-        import ray
-        self.side = side
-        self.num_buckets = num_buckets
-        heavy = None
-        if heavy_ref is not None:
-            heavy = ray.get(heavy_ref) if isinstance(heavy_ref, ray.ObjectRef) else heavy_ref
-        # heavy: dict rank -> (heavy_index, grid_size)
-        self.heavy = heavy or {}
-        self.keep_string = keep_string
-        # same_relation: records are emitted once (side 0) and act as both
-        # join sides; heavy tokens use the unordered-grid scheme — record
-        # with hash h covers cells {(min(h,c), max(h,c)) : c < g}, so any
-        # record pair meets in exactly one cell (i=min, j=max)
-        self.same_relation = same_relation
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ranks_col = batch['ranks'].combine_chunks()
-        plen = batch['plen'].to_numpy()
-        nrows = len(batch)
-        offsets = ranks_col.offsets.to_numpy()
-        flat = ranks_col.values.to_numpy() if len(ranks_col.values) else np.empty(0, np.int64)
-
-        # indices of prefix elements: for row i, offsets[i] .. offsets[i]+plen[i]-1
-        reps = np.minimum(plen, (offsets[1:] - offsets[:-1])).astype(np.int64)
-        row_idx = np.repeat(np.arange(nrows), reps)
-        starts = np.repeat(offsets[:-1], reps)
-        # cumsum - reps: each row's first output slot (also for 0 rows)
-        pos = (np.arange(len(row_idx)) -
-               np.repeat(np.cumsum(reps) - reps, reps)).astype(np.int32)
-        tok = flat[starts + pos]
-
-        bucket = bucket_of(tok, self.num_buckets).astype(np.int64)
-        out_row_idx, out_tok, out_pos, out_bucket = row_idx, tok, pos, bucket
-        out_kh = np.full(len(row_idx), -1, dtype=np.int16)
-
-        if self.heavy:
-            hr, hidx_arr, hg_arr = self._heavy_arrays()
-            p = np.searchsorted(hr, tok)
-            p = np.minimum(p, len(hr) - 1)
-            hmask = hr[p] == tok
-            if hmask.any():
-                key_hash = _stable_key_hash(batch['key'].combine_chunks())
-                sel = np.nonzero(hmask)[0]
-                g = hg_arr[p[sel]].astype(np.int64)
-                # disjoint per-token cell ranges: stride by the GLOBAL max
-                # grid area, not this token's g² — per-token strides overlap
-                # when g varies (token A's range [hidx_A·g_A², +g_A²) can
-                # intersect token B's), merging cells of DIFFERENT tokens
-                # into one shuffle bucket.  The join path survives that
-                # (global memberships + downstream pair dedup); the
-                # candidates path builds CELL-LOCAL memberships and emitted
-                # duplicate pairs from the polluted cells.
-                base = self.num_buckets + hidx_arr[p[sel]] * MAX_GRID_AREA
-                kh = (key_hash[row_idx[sel]] % g.astype(np.uint64)).astype(np.int64)
-                # expand: each salted posting replicates across its g cells
-                rep = np.repeat(np.arange(len(sel)), g)
-                c = (np.arange(len(rep))
-                     - np.repeat(np.concatenate(([0], np.cumsum(g)[:-1])), g))
-                khr, gr, baser = kh[rep], g[rep], base[rep]
-                if self.same_relation:
-                    # unordered grid: record with hash kh covers cells
-                    # {(min(kh,c), max(kh,c))}; any pair of distinct hashes
-                    # meets in exactly one off-diagonal cell, same-hash pairs
-                    # only in the diagonal cell (kh,kh).  kh = -1 marks the
-                    # diagonal visit ("pair freely"); off-diagonal visits
-                    # carry kh so the kernel pairs only ACROSS the two hash
-                    # groups (fixes the duplicate-pair bug: same-hash records
-                    # previously met in every cell of their row/column).
-                    cells = (baser + np.minimum(khr, c) * gr
-                             + np.maximum(khr, c))
-                    khcol = np.where(c == khr, -1, khr).astype(np.int16)
-                elif self.side == 0:    # L: grid row kh, all columns
-                    cells = baser + khr * gr + c
-                    khcol = np.full(len(rep), -1, np.int16)
-                else:                   # R: grid column kh, all rows
-                    cells = baser + c * gr + khr
-                    khcol = np.full(len(rep), -1, np.int16)
-                keep = ~hmask
-                out_row_idx = np.concatenate([row_idx[keep], row_idx[sel][rep]])
-                out_tok = np.concatenate([tok[keep], tok[sel][rep]])
-                out_pos = np.concatenate([pos[keep], pos[sel][rep]])
-                out_bucket = np.concatenate([bucket[keep], cells])
-                out_kh = np.concatenate([out_kh[keep], khcol])
-
-        take_idx = pa.array(out_row_idx)
-        cols = {
-            'bucket': pa.array(out_bucket, type=pa.int64()),
-            'tok': pa.array(out_tok.astype(np.int32), type=pa.int32()),
-            'side': pa.array(np.full(len(out_row_idx), self.side, dtype=np.int8)),
-            'kh': pa.array(out_kh, type=pa.int16()),
-            'key': batch['key'].take(take_idx),
-            'sz': batch['sz'].take(take_idx),
-            'ranks': ranks_col.take(take_idx),
-            'plen': batch['plen'].take(take_idx),
-        }
-        if self.keep_string:
-            cols['s'] = batch['s'].take(take_idx)
-        return pa.table(cols)
-
-    def _heavy_arrays(self):
-        """(sorted rank array, heavy_index array, grid array) view of the
-        heavy dict — built once per stage instance for vectorized lookup."""
-        cached = getattr(self, '_heavy_cache', None)
-        if cached is None:
-            ranks = np.array(sorted(self.heavy), dtype=np.int64)
-            hidx = np.array([self.heavy[r][0] for r in ranks], dtype=np.int64)
-            g = np.array([self.heavy[r][1] for r in ranks], dtype=np.int64)
-            cached = self._heavy_cache = (ranks, hidx, g)
-        return cached
 
 
 def heavy_token_table(freq_table: pa.Table, lut: dict,

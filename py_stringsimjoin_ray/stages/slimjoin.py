@@ -1,34 +1,41 @@
-"""Slim-postings join pipeline — the scale path for ``mode='join'``.
-
-Round 1 shipped each record's FULL rank array on EVERY prefix-token posting
-(shuffle volume O(n·p) per record); this module re-architects the join as:
+"""Slim-postings pipeline — the one candidate kernel of every join
+(``mode='join'``) and of the ``filter_tables`` candidates modes
+(``prefix_candidates``, ``position_candidates``, ``overlap_candidates``),
+on the local route (``stages/localjoin.py``) and the Dataset route alike:
 
     ranked records ──sig(map_batches)──▶ signature-dedup
       ├─▶ Tsig  (one row per distinct signature: sig, sz, ranks[, s],
       │          member counts)          — ONE rank-array shuffle, total O(n)
       ├─▶ Tmem  (sig, side, key)         — slim membership, no rank arrays
       ├─▶ postings from Tsig: (bucket, tok, sig, sz, pos, kh, hl, hr)
-      │          ≈ 32 bytes/posting, O(p) per DISTINCT record  ── the one
-      │          candidate-generation shuffle, now rank-free
-      ├─▶ per-bucket pair gen (DuckDB hash join; size bounds + positional
-      │          gate + salted-grid role rule) → candidate sig pairs
-      ├─▶ verify: two bucket-hash joins back to Tsig re-attach both rank
-      │          arrays (volume proportional to CANDIDATES, the irreducible
-      │          verify input), exact vectorized scoring
+      │          ≈ 24 bytes/posting, O(p) per DISTINCT record  ── the one
+      │          candidate-generation shuffle, rank-free
+      ├─▶ candgen (``_np_candidates``): per (bucket, token) group triangle
+      │          enumeration; size bounds + positional gate + salted-grid
+      │          role rule → candidate signature pairs
+      ├─▶ verify (``BroadcastVerify``): global ``np.unique`` over the pairs,
+      │          then the mode's predicate on both rank arrays
       └─▶ expand: matched sig pairs × Tmem memberships → record pairs
+
+``cfg.mode`` is the one filter-predicate parameter of candgen and verify.
+A join prunes candidates by size and position and verifies the exact
+similarity; ``position_candidates`` keeps the join's (sound) candgen gates
+and verifies the reference's positional accumulation; the other two modes
+keep every pair sharing a posted token — ``overlap_candidates`` posts every
+token and verifies the bag-product overlap count.
 
 Exact duplicates (identical token signatures — the common case in dedup
 corpora) collapse into one Tsig row, so postings, pair generation and
 verification all run once per distinct signature.
 
 Candidate pairs may be emitted from several buckets (one per shared prefix
-token); they are deduplicated during the first verify attach.  Identity
+token); the ``np.unique`` at verify makes them exact-once.  Identity
 pairs (a,a) — the dominant duplicate source in self-joins — are emitted
 only in the bucket holding the signature's FIRST prefix token
 (``min(pos) = 0``), so they are exact-once by construction.
 
 Semantics anchor: the reference's filter-verify loop
-(``/root/reference/py_stringsimjoin/join/set_sim_join.py:99-125``) — a
+(``join/set_sim_join.py:99-125``) — a
 candidate only ever needs the two records' ordered token arrays, which is
 exactly what the verify attach reconstructs.
 """
@@ -44,8 +51,7 @@ import ray.data
 
 from ..core import bounds
 from ..core.comp_ops import COMP_OP_MAP
-from .pairgen import _lev_many
-from .postings import KNUTH, MAX_GRID_AREA, _token_hashes
+from .postings import KNUTH, MAX_GRID_AREA, _lev_many, _token_hashes
 
 _MASK63 = np.uint64((1 << 63) - 1)
 
@@ -181,10 +187,9 @@ class SlimPostingsStage:
             if hmask.any():
                 sel = np.nonzero(hmask)[0]
                 g = hg_arr[p[sel]]
-                # stride by the global MAX grid area (see PostingsStage:
-                # per-token g² strides let different tokens' cell ranges
-                # overlap; harmless here only because pair64 dedup is
-                # global, but kept disjoint for consistency)
+                # stride by the global MAX grid area: per-token g² strides
+                # let different tokens' cell ranges overlap (harmless only
+                # because pair64 dedup is global, but kept disjoint)
                 base = self.num_buckets + hidx_arr[p[sel]] * MAX_GRID_AREA
                 khv = (sig[row_idx[sel]].astype(np.uint64)
                        % g.astype(np.uint64)).astype(np.int64)
@@ -303,8 +308,8 @@ _EXPAND_SLAB = 8_000_000
 
 
 def _np_candidates(tbl: pa.Table, sim_type: str, threshold,
-                   same_relation: bool, bc=None,
-                   heavy_arrays=None) -> tuple[np.ndarray, np.ndarray]:
+                   same_relation: bool, bc=None, heavy_arrays=None,
+                   mode: str = 'join') -> tuple[np.ndarray, np.ndarray]:
     """Vectorized per-partition candidate generation over slim postings.
 
     Replaces the DuckDB (bucket, tok) self-join + pair-level HAVING gate.
@@ -321,6 +326,12 @@ def _np_candidates(tbl: pa.Table, sim_type: str, threshold,
     ineligible rows (their prefix positions are deep), so this cuts the
     enumerated pair volume ~53x on the flagship corpus (695M -> 13M)
     before the exact joint filters run.
+
+    The same argument holds for ``position_candidates``: a survivor's
+    first shared prefix token has ``min(remA, remB) >= T`` (its accumulated
+    bound at i = 0), so that mode keeps both gates.  ``prefix_candidates``
+    and ``overlap_candidates`` apply neither — every pair sharing a posted
+    token IS their candidate set.
 
     same_relation: emits each candidate once, canonically (a <= b), plus
     exact-once identity pairs via each signature's pos==0 posting.
@@ -367,10 +378,12 @@ def _np_candidates(tbl: pa.Table, sim_type: str, threshold,
     if n == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
 
-    set_measure = sim_type in ('JACCARD', 'COSINE', 'DICE', 'OVERLAP',
-                               'OVERLAP_COEFFICIENT')
-    size_lo, size_hi, ovt_sum, ovt_min = _cand_luts(sim_type, threshold,
-                                                    int(sz.max()))
+    gated = mode in ('join', 'position_candidates')
+    set_measure = gated and sim_type in ('JACCARD', 'COSINE', 'DICE',
+                                         'OVERLAP', 'OVERLAP_COEFFICIENT')
+    size_lo, size_hi, ovt_sum, ovt_min = (
+        _cand_luts(sim_type, threshold, int(sz.max())) if gated
+        else (None, None, None, None))
     rem = (sz - pos).astype(np.int64)
 
     out_a, out_b = [], []
@@ -415,7 +428,7 @@ def _np_candidates(tbl: pa.Table, sim_type: str, threshold,
             out_b.append(np.concatenate([b[fwd], a[rev]]))
 
     # positional eligibility of the size-smaller pair side: rem >= ovt(sz, sz)
-    if not set_measure:           # EDIT_DISTANCE: no positional gate
+    if not set_measure:           # EDIT_DISTANCE, ungated modes
         elig = np.ones(n, dtype=bool)
     elif ovt_sum is not None:     # JACCARD / DICE
         elig = rem >= ovt_sum[2 * sz.astype(np.int64)]
@@ -735,13 +748,14 @@ def collect_tsig(tagged: ray.data.Dataset, same_relation: bool,
     # the broadcast stitch is submitted but NOT waited on: the postings
     # pieces feed candgen directly (si rebased per shard below), so the
     # serial concat overlaps with the postings shuffle + candgen; only the
-    # verify stage (downstream) blocks on bc_ref
-    stitcher = ray.remote(num_cpus=2)(_stitch_bc)
+    # verify stage (downstream) blocks on bc_ref.  Its request is capped at
+    # the session's CPUs: a task asking for more stays pending forever
+    cpus = int(ray.cluster_resources().get('CPU', 8))
+    stitcher = ray.remote(num_cpus=max(1, min(2, cpus)))(_stitch_bc)
     bc_ref = stitcher.remote(same_relation, keep_string, *piece_refs)
     # pre-split each shard into enough slices that the postings Dataset is
     # born at target block granularity (cpus*8 blocks total) — no
     # repartition barrier between the shard builders and the postings map
-    cpus = int(ray.cluster_resources().get('CPU', 8))
     live = sum(1 for s_ in sizes if s_ > 0)
     nslices = max(1, -(-(cpus * 8) // max(1, live)))
     rebase = ray.remote(num_cpus=1, num_returns=nslices)(_rebase_piece_tbl)
@@ -835,8 +849,10 @@ class BroadcastCandGen:
     def __init__(self, sim_type: str, threshold, qval=None,
                  same_relation: bool = False, num_vbuckets: int = 512,
                  bc_ref=None, heavy=None, shard_bases=None,
-                 shard_sub: int = 8, skew_name: str | None = None):
+                 shard_sub: int = 8, skew_name: str | None = None,
+                 mode: str = 'join'):
         self.__name__ = 'BroadcastCandGen'
+        self.mode = mode
         self.skew_name = skew_name
         self._skew_cache: dict = {}
         self.sim_type = sim_type
@@ -878,7 +894,8 @@ class BroadcastCandGen:
             self._bc = ray.get(self.bc_ref)
         sa, sb = _np_candidates(tbl, self.sim_type, self.threshold,
                                 self.same_relation, bc=self._bc,
-                                heavy_arrays=(self._hr, self._hg))
+                                heavy_arrays=(self._hr, self._hg),
+                                mode=self.mode)
         if len(sa) == 0:
             return empty
         pair64 = np.unique((sa << np.int64(32)) | sb)
@@ -904,20 +921,67 @@ class BroadcastCandGen:
                          'pair64': pa.array(pair64, pa.int64())})
 
 
+def _slice_keys(rank_flat: np.ndarray, starts: np.ndarray,
+                lens: np.ndarray) -> tuple:
+    """``(pair << 32 | token)`` keys over one rank-array slice per pair
+    (pair i covers ``rank_flat[starts[i]:starts[i] + lens[i]]``).  The pair
+    id ascends block-wise and ranks ascend within a slice, so the keys come
+    out GLOBALLY sorted and every intersection below is sort-free.
+    Returns (key, pair id, offset within the slice, slice offsets)."""
+    seg = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
+    pid = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
+    off = np.arange(seg[-1], dtype=np.int64) - np.repeat(seg[:-1], lens)
+    tok = rank_flat[np.repeat(starts, lens) + off]
+    key = (pid.astype(np.uint64) << np.uint64(32)) | tok.astype(np.uint64)
+    return key, pid, off, seg
+
+
+def _prefix_lens(bcS, idx: np.ndarray) -> np.ndarray:
+    return np.minimum(bcS.rank_off[idx + 1] - bcS.rank_off[idx],
+                      bcS.plen[idx])
+
+
+def _match(keyA: np.ndarray, keyB: np.ndarray) -> tuple:
+    """(hit mask over keyB, matching keyA index) of a sorted-key probe."""
+    if len(keyA) == 0:
+        return np.zeros(len(keyB), bool), np.zeros(len(keyB), np.int64)
+    loc = np.minimum(np.searchsorted(keyA, keyB), len(keyA) - 1)
+    return keyA[loc] == keyB, loc
+
+
+def _pairs_frame(mode: str, l_key, r_key, score) -> pd.DataFrame:
+    """Record-pair output of ``mode``: the prefix and position candidates
+    modes carry no score column."""
+    cols = {'l_key': l_key, 'r_key': r_key}
+    if mode in ('join', 'overlap_candidates'):
+        cols['_sim_score'] = score
+    return pd.DataFrame(cols)
+
+
 class BroadcastVerify:
     """Per-verify-bucket exact-once verification: ``np.unique`` over the
     incoming pair64s (a pair hashes to exactly one vb group, so this dedup
-    is global), ONE prefix intersection per unique pair (pov/pamax/pbmax),
-    the position-filter upper bound, exact tail-overlap (or Levenshtein)
-    verification, and membership expansion to final
-    (l_key, r_key, _sim_score) record pairs."""
+    is global), the ``mode``'s predicate on both rank arrays, and
+    membership expansion to (l_key, r_key[, _sim_score]) record pairs.
+
+    mode:
+      'join'                — prefix intersection, position-filter upper
+                              bound, exact tail overlap (or Levenshtein)
+                              and the similarity score
+      'prefix_candidates'   — every candidate passes; no score column
+      'position_candidates' — size bounds + the reference's positional
+                              accumulation; no score column
+      'overlap_candidates'  — bag-product overlap count vs ``comp_op``,
+                              emitted as the score
+    """
 
     def __init__(self, bc_ref, sim_type: str, threshold, comp_op: str,
                  qval=None, same_relation: bool = False,
                  self_join: bool = False, round_score: bool = True,
                  counter_name=None, shard_refs=None, shard_bases=None,
-                 skew_name: str | None = None):
+                 skew_name: str | None = None, mode: str = 'join'):
         self.__name__ = 'BroadcastVerify'
+        self.mode = mode
         self.skew_name = skew_name
         self._skew_cache: dict = {}
         self.bc_ref = bc_ref
@@ -959,9 +1023,8 @@ class BroadcastVerify:
                 self._shard(spb), ib - self.shard_bases[spb])
 
     def _empty(self) -> pd.DataFrame:
-        return pd.DataFrame({'l_key': np.array([], object),
-                             'r_key': np.array([], object),
-                             '_sim_score': np.array([], np.float64)})
+        return _pairs_frame(self.mode, np.array([], object),
+                            np.array([], object), np.array([], np.float64))
 
     def __call__(self, tbl) -> pd.DataFrame:
         if isinstance(tbl, pd.DataFrame):
@@ -974,63 +1037,6 @@ class BroadcastVerify:
         ia = (cand >> np.int64(32)).astype(np.int64)
         ib = (cand & np.int64(0xFFFFFFFF)).astype(np.int64)
         bcA, la, bcB, lb = self._sides(ia, ib)
-        is_ed = self.sim_type == 'EDIT_DISTANCE'
-
-        # ---- one prefix-intersection join computes, per UNIQUE pair:
-        #   pov    = |prefix_A ∩ prefix_B|,
-        #   pamax/pbmax = positions of the LAST shared prefix token in each
-        #            full sorted rank array.
-        # Sound position-filter bound (reference semantics generalized to
-        # the whole prefix, filter/position_filter.py:340-344): every shared
-        # token ranked below the last shared prefix token is itself in both
-        # prefixes, so  overlap <= pov + min(szA-1-pamax, szB-1-pbmax).
-        # EDIT_DISTANCE never reads pov/pamax/pbmax (its verify is the exact
-        # Levenshtein on the strings) — skip the whole pass.
-        n_pairs = len(ia)
-        pov = pamax = pbmax = None
-        if not is_ed:
-            plA = np.minimum(bcA.rank_off[la + 1] - bcA.rank_off[la],
-                             bcA.plen[la])
-            plB = np.minimum(bcB.rank_off[lb + 1] - bcB.rank_off[lb],
-                             bcB.plen[lb])
-
-            def pref_keys(bcS, idx, pl):
-                # (pid << 32 | tok) keys over each pair's prefix slice; pid
-                # ascends block-wise and tok ascends within each block (rank
-                # arrays are sorted), so the keys come out GLOBALLY sorted —
-                # the whole intersection is sort-free
-                tot = int(pl.sum())
-                seg = np.concatenate(([0], np.cumsum(pl))).astype(np.int64)
-                if tot == 0:
-                    return (np.empty(0, np.uint64), np.empty(0, np.int64),
-                            np.empty(0, np.int64), seg)
-                pid = np.repeat(np.arange(n_pairs, dtype=np.int64), pl)
-                off = np.arange(tot, dtype=np.int64) - np.repeat(seg[:-1], pl)
-                tok = bcS.rank_flat[np.repeat(bcS.rank_off[idx], pl) + off]
-                key = ((pid.astype(np.uint64) << np.uint64(32))
-                       | tok.astype(np.uint64))
-                return key, pid, off, seg
-
-            keyA, pidA, offA, segA = pref_keys(bcA, la, plA)
-            keyB, pidB, offB, segB = pref_keys(bcB, lb, plB)
-            pov = np.zeros(n_pairs, dtype=np.int64)
-            pamax = np.zeros(n_pairs, dtype=np.int64)
-            pbmax = np.zeros(n_pairs, dtype=np.int64)
-            if len(keyA) and len(keyB):
-                loc = np.searchsorted(keyA, keyB)
-                loc = np.minimum(loc, len(keyA) - 1)
-                hit = keyA[loc] == keyB
-                if hit.any():
-                    # hits stay sorted by (pid, tok): min/max per pid are
-                    # the first/last element of each pid run
-                    hpid = pidB[hit]
-                    brk = np.flatnonzero(hpid[1:] != hpid[:-1])
-                    ifirst = np.concatenate(([0], brk + 1))
-                    ilast = np.concatenate((brk, [len(hpid) - 1]))
-                    pu = hpid[ifirst]
-                    pov = np.bincount(hpid, minlength=n_pairs)
-                    pamax[pu] = (loc[hit] - segA[hpid])[ilast]
-                    pbmax[pu] = offB[hit][ilast]
 
         cntA = bcA.l_key_off[la + 1] - bcA.l_key_off[la]
         cntB = bcB.r_key_off[lb + 1] - bcB.r_key_off[lb]
@@ -1050,63 +1056,160 @@ class BroadcastVerify:
             except ValueError:
                 pass
 
-        if not is_ed:
-            szA = bcA.sz[la]
-            szB = bcB.sz[lb]
-            ovt = bounds.overlap_threshold_many(szA, szB, self.sim_type,
-                                                self.threshold)
-            ub = pov + np.minimum(szA - 1 - pamax, szB - 1 - pbmax)
-            keep = ub >= ovt
-            ia, ib, la, lb = ia[keep], ib[keep], la[keep], lb[keep]
-            cntA, cntB = cntA[keep], cntB[keep]
-            pov, pamax, pbmax = pov[keep], pamax[keep], pbmax[keep]
-        if len(ia) == 0:
+        if self.mode == 'join':
+            keep, scores = self._join_scores(bcA, la, bcB, lb)
+        elif self.mode == 'overlap_candidates':
+            scores = self._bag_overlap(bcA, la, bcB, lb)
+            keep = np.flatnonzero(self.comp_fn(scores, self.threshold))
+            scores = scores[keep]
+        elif self.mode == 'position_candidates':
+            keep = np.flatnonzero(self._position_keep(bcA, la, bcB, lb))
+            scores = np.full(len(keep), np.nan)
+        else:  # prefix_candidates: the candidate set is the output
+            keep = np.arange(len(la))
+            scores = np.full(len(keep), np.nan)
+        if len(keep) == 0:
             return self._empty()
-
-        # ---- exact verification --------------------------------------
-        if is_ed:
-            keep = np.abs(bcA.s_len[la] - bcB.s_len[lb]) <= self.threshold
-            ia, ib, la, lb = ia[keep], ib[keep], la[keep], lb[keep]
-            cntA, cntB = cntA[keep], cntB[keep]
-            if len(ia) == 0:
-                return self._empty()
-            scores = _lev_many(bcA.s[la].tolist(),
-                               bcB.s[lb].tolist()).astype(np.float64)
-        else:
-            # overlap = pov + |tail_A ∩ tail_B| where the tails start just
-            # after the last shared prefix position (all earlier shared
-            # tokens are already in pov — see bound derivation above).
-            # Tails are tiny for pruned survivors; a numpy sort-merge over
-            # (pid, token) keys replaces round 2's full-array explode join.
-            o = pov + self._tail_overlap(bcA, la, bcB, lb, pamax, pbmax)
-            n1 = bcA.sz[la].astype(np.float64)
-            n2 = bcB.sz[lb].astype(np.float64)
-            of = o.astype(np.float64)
-            st = self.sim_type
-            if st == 'OVERLAP':
-                scores = of
-            elif st == 'OVERLAP_COEFFICIENT':
-                scores = of / np.minimum(n1, n2)
-            elif st == 'JACCARD':
-                scores = of / (n1 + n2 - of)
-            elif st == 'COSINE':
-                scores = of / np.sqrt(n1 * n2)
-            elif st == 'DICE':
-                scores = 2.0 * of / (n1 + n2)
-            else:  # pragma: no cover
-                raise ValueError(st)
-            if self.round_score and st in ('JACCARD', 'COSINE', 'DICE'):
-                scores = np.round(scores, 4)
-        keep = self.comp_fn(scores, self.threshold)
-        ia, ib, la, lb = ia[keep], ib[keep], la[keep], lb[keep]
-        cntA, cntB, scores = cntA[keep], cntB[keep], scores[keep]
-        if len(ia) == 0:
-            return self._empty()
-
         out_l, out_r, out_s = self._expand_members(
-            bcA, la, bcB, lb, ia, ib, cntA, cntB, scores)
-        return pd.DataFrame({'l_key': out_l, 'r_key': out_r,
-                             '_sim_score': out_s})
+            bcA, la[keep], bcB, lb[keep], ia[keep], ib[keep], cntA[keep],
+            cntB[keep], scores)
+        return _pairs_frame(self.mode, out_l, out_r, out_s)
+
+    def _join_scores(self, bcA, la, bcB, lb) -> tuple:
+        """(survivor index, score) of the exact join predicate."""
+        idx = np.arange(len(la))
+        if self.sim_type == 'EDIT_DISTANCE':
+            # the exact Levenshtein on the strings: no prefix pass
+            idx = idx[np.abs(bcA.s_len[la] - bcB.s_len[lb])
+                      <= self.threshold]
+            if len(idx) == 0:
+                return idx, np.empty(0, np.float64)
+            scores = _lev_many(bcA.s[la[idx]].tolist(),
+                               bcB.s[lb[idx]].tolist()).astype(np.float64)
+            keep = self.comp_fn(scores, self.threshold)
+            return idx[keep], scores[keep]
+
+        # ---- one prefix-intersection join computes, per UNIQUE pair:
+        #   pov    = |prefix_A ∩ prefix_B|,
+        #   pamax/pbmax = positions of the LAST shared prefix token in each
+        #            full sorted rank array.
+        # Sound position-filter bound (reference semantics generalized to
+        # the whole prefix, filter/position_filter.py:340-344): every shared
+        # token ranked below the last shared prefix token is itself in both
+        # prefixes, so  overlap <= pov + min(szA-1-pamax, szB-1-pbmax).
+        n_pairs = len(la)
+        keyA, _pidA, _offA, segA = _slice_keys(
+            bcA.rank_flat, bcA.rank_off[la], _prefix_lens(bcA, la))
+        keyB, pidB, offB, _segB = _slice_keys(
+            bcB.rank_flat, bcB.rank_off[lb], _prefix_lens(bcB, lb))
+        pov = np.zeros(n_pairs, dtype=np.int64)
+        pamax = np.zeros(n_pairs, dtype=np.int64)
+        pbmax = np.zeros(n_pairs, dtype=np.int64)
+        hit, loc = _match(keyA, keyB)
+        if hit.any():
+            # hits stay sorted by (pid, tok): min/max per pid are the
+            # first/last element of each pid run
+            hpid = pidB[hit]
+            brk = np.flatnonzero(hpid[1:] != hpid[:-1])
+            ilast = np.concatenate((brk, [len(hpid) - 1]))
+            pu = hpid[np.concatenate(([0], brk + 1))]
+            pov = np.bincount(hpid, minlength=n_pairs)
+            pamax[pu] = (loc[hit] - segA[hpid])[ilast]
+            pbmax[pu] = offB[hit][ilast]
+
+        szA = bcA.sz[la]
+        szB = bcB.sz[lb]
+        ovt = bounds.overlap_threshold_many(szA, szB, self.sim_type,
+                                            self.threshold)
+        ub = pov + np.minimum(szA - 1 - pamax, szB - 1 - pbmax)
+        idx = np.flatnonzero(ub >= ovt)
+        la, lb = la[idx], lb[idx]
+        # overlap = pov + |tail_A ∩ tail_B| where the tails start just
+        # after the last shared prefix position (all earlier shared tokens
+        # are already in pov — see bound derivation above).  Tails are tiny
+        # for pruned survivors; a numpy sort-merge over (pid, token) keys
+        # replaces round 2's full-array explode join.
+        o = pov[idx] + self._tail_overlap(bcA, la, bcB, lb, pamax[idx],
+                                          pbmax[idx])
+        n1 = bcA.sz[la].astype(np.float64)
+        n2 = bcB.sz[lb].astype(np.float64)
+        of = o.astype(np.float64)
+        st = self.sim_type
+        if st == 'OVERLAP':
+            scores = of
+        elif st == 'OVERLAP_COEFFICIENT':
+            scores = of / np.minimum(n1, n2)
+        elif st == 'JACCARD':
+            scores = of / (n1 + n2 - of)
+        elif st == 'COSINE':
+            scores = of / np.sqrt(n1 * n2)
+        elif st == 'DICE':
+            scores = 2.0 * of / (n1 + n2)
+        else:  # pragma: no cover
+            raise ValueError(st)
+        if self.round_score and st in ('JACCARD', 'COSINE', 'DICE'):
+            scores = np.round(scores, 4)
+        keep = self.comp_fn(scores, self.threshold)
+        return idx[keep], scores[keep]
+
+    def _position_keep(self, bcA, la, bcB, lb) -> np.ndarray:
+        """Reference PositionFilter survivors, A = L (indexed), B = R
+        (probe): B's size bounds admit A's size, and for the i-th shared
+        prefix token in ascending rank order
+        ``i + min(szA - posA_i, szB - posB_i) >= T`` holds for EVERY i
+        (``filter/position_filter.py:307-366``; the early abandon is only an
+        optimization).  Bag prefixes keep each token's first occurrence."""
+        szA, szB = bcA.sz[la], bcB.sz[lb]
+        size_lo, size_hi, _, _ = _cand_luts(
+            self.sim_type, self.threshold, int(max(szA.max(), szB.max())))
+        keep = (szA >= size_lo[szB]) & (szA <= size_hi[szB])
+        if self.sim_type == 'EDIT_DISTANCE':
+            T = np.maximum(szA, szB) - self.qval * self.threshold
+        else:
+            T = bounds.overlap_threshold_many(szA, szB, self.sim_type,
+                                              self.threshold)
+
+        def first_keys(bcS, idx):
+            key, pid, off, _ = _slice_keys(
+                bcS.rank_flat, bcS.rank_off[idx], _prefix_lens(bcS, idx))
+            first = np.ones(len(key), bool)
+            first[1:] = key[1:] != key[:-1]
+            return key[first], pid[first], off[first]
+
+        keyA, _pidA, posA = first_keys(bcA, la)
+        keyB, pidB, posB = first_keys(bcB, lb)
+        hit, loc = _match(keyA, keyB)
+        hpid = pidB[hit]
+        if len(hpid):
+            # i = rank of the hit within its pair's run (hits are sorted
+            # by (pair, token))
+            firsth = np.concatenate(([True], hpid[1:] != hpid[:-1]))
+            run_start = np.maximum.accumulate(
+                np.where(firsth, np.arange(len(hpid)), 0))
+            i_idx = np.arange(len(hpid)) - run_start
+            bound = np.minimum(szA[hpid] - posA[loc[hit]],
+                               szB[hpid] - posB[hit])
+            keep[hpid[i_idx + bound < T[hpid]]] = False
+        return keep
+
+    @staticmethod
+    def _bag_overlap(bcA, la, bcB, lb) -> np.ndarray:
+        """Σ_t cntA(t)·cntB(t) over the full (bag) rank arrays — the
+        occurrence-pair count of the reference's inverted-index probe
+        (``filter/overlap_filter.py:256-267``)."""
+        def runs(bcS, idx):
+            key, pid, _, _ = _slice_keys(
+                bcS.rank_flat, bcS.rank_off[idx],
+                bcS.rank_off[idx + 1] - bcS.rank_off[idx])
+            uk, start, cnt = np.unique(key, return_index=True,
+                                       return_counts=True)
+            return uk, pid[start], cnt
+
+        kA, _pA, cA = runs(bcA, la)
+        kB, pB, cB = runs(bcB, lb)
+        hit, loc = _match(kA, kB)
+        return np.bincount(pB[hit], weights=cA[loc[hit]] * cB[hit],
+                           minlength=len(la)).astype(np.float64)
 
     @staticmethod
     def _tail_overlap(bcA: _TsigBroadcast, la: np.ndarray,
@@ -1115,36 +1218,16 @@ class BroadcastVerify:
         """|A[pamax+1:] ∩ B[pbmax+1:]| per pair, via a sort-merge over
         (pair, token) keys.  Set tokenizers make per-side tokens unique, so
         the match count is the exact intersection size."""
-        m = len(la)
         startsA = bcA.rank_off[la] + pamax + 1
-        lensA = np.maximum(bcA.rank_off[la + 1] - startsA, 0)
         startsB = bcB.rank_off[lb] + pbmax + 1
-        lensB = np.maximum(bcB.rank_off[lb + 1] - startsB, 0)
-
-        def keys(bcS, starts, lens):
-            tot = int(lens.sum())
-            if tot == 0:
-                return np.empty(0, np.uint64), np.empty(0, np.int64)
-            pid = np.repeat(np.arange(m, dtype=np.int64), lens)
-            off = (np.arange(tot, dtype=np.int64)
-                   - np.repeat(np.concatenate(([0], np.cumsum(lens)[:-1])),
-                               lens))
-            tok = bcS.rank_flat[np.repeat(starts, lens) + off]
-            return ((pid.astype(np.uint64) << np.uint64(32))
-                    | tok.astype(np.uint64)), pid
-
-        keyA, _ = keys(bcA, startsA, lensA)
-        keyB, pidB = keys(bcB, startsB, lensB)
-        out = np.zeros(m, dtype=np.int64)
-        if len(keyA) == 0 or len(keyB) == 0:
-            return out
-        keyA.sort()
-        pos = np.searchsorted(keyA, keyB)
-        pos = np.minimum(pos, len(keyA) - 1)
-        hit = keyA[pos] == keyB
-        if hit.any():
-            np.add.at(out, pidB[hit], 1)
-        return out
+        keyA, _, _, _ = _slice_keys(
+            bcA.rank_flat, startsA,
+            np.maximum(bcA.rank_off[la + 1] - startsA, 0))
+        keyB, pidB, _, _ = _slice_keys(
+            bcB.rank_flat, startsB,
+            np.maximum(bcB.rank_off[lb + 1] - startsB, 0))
+        hit, _loc = _match(keyA, keyB)
+        return np.bincount(pidB[hit], minlength=len(la)).astype(np.int64)
 
     def _expand_members(self, bcA, la, bcB, lb, ia, ib, cntA, cntB,
                         scores):
@@ -1219,14 +1302,13 @@ def broadcast_gate_bytes() -> int:
         return _BROADCAST_GATE_FLOOR
 
 
-BROADCAST_GATE_BYTES = _BROADCAST_GATE_FLOOR  # back-compat alias
-
 
 def slim_match_pairs(ranked_l, ranked_r, cfg, heavy_ref,
                      same_relation: bool,
                      size_bytes_hint: int | None = None) -> ray.data.Dataset:
     """ranked datasets (key, sz, ranks, plen[, s]) → Dataset of
-    (l_key, r_key, _sim_score)."""
+    (l_key, r_key[, _sim_score]) for the join or candidates mode
+    ``cfg.mode``."""
     import os
     keep_string = cfg.keep_string
     nb = cfg.num_buckets
@@ -1245,9 +1327,7 @@ def slim_match_pairs(ranked_l, ranked_r, cfg, heavy_ref,
     else:
         tagged = tag(ranked_l, 0).union(tag(ranked_r, 1))
 
-    force_dist = (getattr(cfg, 'force_distributed', False)
-                  or os.environ.get('SSJ_FORCE_DISTRIBUTED') == '1')
-    use_broadcast = (not force_dist) and (
+    use_broadcast = os.environ.get('SSJ_FORCE_DISTRIBUTED') != '1' and (
         size_bytes_hint is None or size_bytes_hint < broadcast_gate_bytes())
 
     if use_broadcast:
@@ -1316,13 +1396,13 @@ def slim_match_pairs(ranked_l, ranked_r, cfg, heavy_ref,
                                  same_relation=same_relation,
                                  num_vbuckets=nb, bc_ref=bc_ref,
                                  heavy=heavy,
-                                 skew_name=getattr(cfg, 'skew_name', None)),
+                                 skew_name=cfg.skew_name, mode=cfg.mode),
                 batch_format='pyarrow')
             fn = BroadcastVerify(
                 bc_ref, cfg.sim_type, cfg.threshold, cfg.comp_op, cfg.qval,
                 same_relation=same_relation, self_join=cfg.self_join,
                 round_score=True, counter_name=cfg.counter_name,
-                skew_name=getattr(cfg, 'skew_name', None))
+                skew_name=cfg.skew_name, mode=cfg.mode)
             return cand.groupby('vb').map_groups(fn, batch_format='pyarrow')
         finally:
             ctx.shuffle_strategy = prev_strategy
@@ -1385,13 +1465,13 @@ def slim_match_pairs(ranked_l, ranked_r, cfg, heavy_ref,
                              heavy=heavy, shard_bases=bases,
                              shard_sub=int(os.environ.get(
                                  'SSJ_SHARD_SUB', '8')),
-                             skew_name=getattr(cfg, 'skew_name', None)),
+                             skew_name=cfg.skew_name, mode=cfg.mode),
             batch_format='pyarrow')
         fn = BroadcastVerify(
             None, cfg.sim_type, cfg.threshold, cfg.comp_op, cfg.qval,
             same_relation=same_relation, self_join=cfg.self_join,
             round_score=True, counter_name=cfg.counter_name,
-            skew_name=getattr(cfg, 'skew_name', None),
+            skew_name=cfg.skew_name, mode=cfg.mode,
             shard_refs=shard_refs, shard_bases=bases)
         return cand.groupby('vb').map_groups(fn, batch_format='pyarrow')
     finally:

@@ -18,8 +18,8 @@ from py_stringsimjoin_ray.core.ordering import (apply_ordering,
 WS = WhitespaceTokenizer(return_set=True)
 
 # filter_tables routes: the local route (one Ray task) and the Dataset route
-# (PostingsStage + groupby('bucket') shuffle); small inputs take the local
-# route by default, so the oracle tests pin both explicitly
+# (the slim-postings pipeline's candgen and verify shuffles); small inputs
+# take the local route by default, so the oracle tests pin both explicitly
 ROUTES = ('force', '0')
 
 

@@ -2,11 +2,11 @@
 route.
 
 Every case runs the SAME ``filter_tables`` call twice —
-SSJ_LOCAL_JOIN=force (one Ray task: tokenize, vocabulary, postings and the
-per-bucket ``PairGenVerify`` calls in memory) and SSJ_LOCAL_JOIN=0
-(postings shuffle + ``groupby('bucket').map_groups``) — and asserts exact
-frame equality including dtypes, after dropping the order-dependent
-``_id`` and sorting.
+SSJ_LOCAL_JOIN=force (one Ray task: tokenize, vocabulary, signature table,
+slim postings, candgen and verify in memory) and SSJ_LOCAL_JOIN=0 (the
+slim-postings Dataset pipeline: postings, candgen and verify shuffles) —
+and asserts exact frame equality including dtypes, after dropping the
+order-dependent ``_id`` and sorting.
 """
 
 import numpy as np
@@ -159,7 +159,7 @@ def test_dataset_output_parity(tables, monkeypatch, routes):
 
 def test_fanout_parity(tables, monkeypatch, routes):
     # the fixture's session has 4 CPUs: with no posting threshold the
-    # bucket groups split over plain tasks
+    # candgen buckets split over plain tasks
     A, B = tables
     monkeypatch.setattr(localjoin, '_FANOUT_POSTINGS', 0)
     for f, kw in ((PositionFilter(WS, 'JACCARD', 0.5), {}),
@@ -182,9 +182,10 @@ def test_bucket_chunks_plan():
 
 
 def test_byte_cap_falls_back_to_dataset_route(tables, monkeypatch, routes):
-    # the inputs pass the fetch gate, but the estimated postings (every
-    # token for overlap_candidates, each carrying its rank array) do not:
-    # the task returns None and the Dataset route answers
+    # the inputs pass the fetch gate, but the estimated slim postings
+    # (every token of every distinct signature for overlap_candidates,
+    # 24 B a row) do not: the task returns None and the Dataset route
+    # answers
     A, B = tables
     fetched = sum(pa.Table.from_pandas(t[['id', 'txt']],
                                        preserve_index=False).nbytes
@@ -215,24 +216,26 @@ def test_edit_distance_postings_carry_no_string(tables, monkeypatch, cls,
         out = f.filter_tables(A, B, 'id', 'id', 'txt', 'txt')
         assert set(zip(out['l_id'], out['r_id'])) == exp, route
 
-    # the candidates body, run in this process, builds string-free postings
+    # the candidates body, run in this process, builds a string-free
+    # signature table and postings
     mode = ('prefix_candidates' if cls is PrefixFilter
             else 'position_candidates')
     cfg = join._JoinConfig('EDIT_DISTANCE', tok, 2, '<=', False, False,
                            False, mode=mode)
     assert not cfg.keep_string
     columns = []
-    orig = localjoin.PostingsStage.__call__
+    orig = localjoin.SlimPostingsStage.__call__
 
     def record(self, batch):
         out = orig(self, batch)
-        columns.append(out.column_names)
+        columns.extend([batch.column_names, out.column_names])
         return out
-    monkeypatch.setattr(localjoin.PostingsStage, '__call__', record)
+    monkeypatch.setattr(localjoin.SlimPostingsStage, '__call__', record)
     arr = [pa.Table.from_pandas(t[['id', 'txt']], preserve_index=False)
            for t in (A, B)]
-    pairs, _ = localjoin._local_candidates(
+    pairs, _ = localjoin._local_pairs(
         arr[0], arr[1], 'id', 'id', 'txt', 'txt', cfg, 2 ** 62,
-        (localjoin._FANOUT_POSTINGS, localjoin._FANOUT_WORK))
+        (localjoin._FANOUT_POSTINGS, localjoin._FANOUT_WORK,
+         localjoin._FANOUT_PAIRS))
     assert set(zip(pairs['l_key'], pairs['r_key'])) == exp
     assert len(columns) == 2 and all('s' not in c for c in columns)

@@ -1,9 +1,10 @@
-"""Numpy bucket-kernel tests (stages/pairgen.py): for every filter_tables
-candidates mode the kernel must emit EXACTLY the pairs of the brute-force,
-row-by-row oracles in ``test_filters.py`` (a literal re-implementation of
-the reference's probe loops), each pair once — including forced
-heavy-token salting, duplicate signature classes, bag tokenizers and
-same-table inputs."""
+"""Candidate pair generation of the filter_tables candidates modes (the
+slim-postings kernel of stages/slimjoin.py, with ``cfg.mode`` selecting the
+candgen gates and the verify predicate): on both routes, every mode must
+emit EXACTLY the pairs of the brute-force, row-by-row oracles in
+``test_filters.py`` (a literal re-implementation of the reference's probe
+loops), each pair once — including forced heavy-token salting, duplicate
+signature classes, bag tokenizers and same-table inputs."""
 
 import numpy as np
 import pandas as pd
@@ -11,9 +12,8 @@ import pytest
 
 from py_stringsimjoin_ray import (OverlapFilter, PositionFilter, PrefixFilter,
                                   QgramTokenizer, WhitespaceTokenizer)
-from py_stringsimjoin_ray.stages.pairgen import PairGenVerify
-from test_filters import (oracle_overlap_tables, oracle_position_tables,
-                          oracle_prefix_tables)
+from test_filters import (each_route, oracle_overlap_tables,  # noqa: F401
+                          oracle_position_tables, oracle_prefix_tables)
 
 
 def _tables(n=40, seed=11):
@@ -76,33 +76,36 @@ def _position(tok, st, t):
      {}),
 ], ids=['overlap_set', 'overlap_bag_score', 'prefix_jac', 'position_dice',
         'position_overlap'])
-def test_np_kernel_matches_rowwise(ray_session, salt, build, kw):
+def test_np_kernel_matches_rowwise(ray_session, each_route, salt, build,
+                                   kw):
     """Kernel vs the row-by-row oracle, salted and unsalted."""
     l, r = _tables()
     f, oracle = build()
-    out = f.filter_tables(l, r, 'id', 'id', 's', 's',
-                          salt_df_threshold=salt, **kw)
     exp = oracle(l, r, kw)
-    assert _pairs_once(out) == set(exp)
-    if kw.get('out_sim_score'):
-        assert _scored(out) == exp
-    assert len(out) > 0
+    for route in each_route():
+        out = f.filter_tables(l, r, 'id', 'id', 's', 's',
+                              salt_df_threshold=salt, **kw)
+        assert _pairs_once(out) == set(exp), route
+        if kw.get('out_sim_score'):
+            assert _scored(out) == exp, route
+        assert len(out) > 0
 
 
-def test_np_kernel_same_table_identity(ray_session):
-    # same DataFrame on both sides: single-side postings, identity class
-    # pairs, duplicate signature classes
+def test_np_kernel_same_table_identity(ray_session, each_route):
+    # same DataFrame on both sides: single-side postings, identity
+    # signature pairs, duplicate signature classes
     l, _ = _tables(24, seed=3)
     tok = WhitespaceTokenizer(return_set=True)
     f = PrefixFilter(tok, 'JACCARD', 0.5)
-    out = f.filter_tables(l, l, 'id', 'id', 's', 's')
-    pairs = _pairs_once(out)
-    assert pairs == oracle_prefix_tables(l, l, 'id', 'id', 's', 's', tok,
-                                         'JACCARD', 0.5)
-    assert all((i, i) in pairs for i in l['id'])
+    exp = oracle_prefix_tables(l, l, 'id', 'id', 's', 's', tok, 'JACCARD',
+                               0.5)
+    for route in each_route():
+        pairs = _pairs_once(f.filter_tables(l, l, 'id', 'id', 's', 's'))
+        assert pairs == exp, route
+        assert all((i, i) in pairs for i in l['id'])
 
 
-def test_np_kernel_prefix_edit_distance(ray_session):
+def test_np_kernel_prefix_edit_distance(ray_session, each_route):
     rng = np.random.default_rng(5)
     base = ['martha', 'marhta', 'jones', 'jonse', 'aaaaa', 'aaaab',
             'different', 'differant']
@@ -111,30 +114,35 @@ def test_np_kernel_prefix_edit_distance(ray_session):
                       's': [x + rng.choice(['', 's']) for x in base]})
     tok = QgramTokenizer(qval=2, return_set=False)
     f = PrefixFilter(tok, 'EDIT_DISTANCE', 1)
-    out = f.filter_tables(l, r, 'id', 'id', 's', 's')
-    assert _pairs_once(out) == oracle_prefix_tables(
-        l, r, 'id', 'id', 's', 's', tok, 'EDIT_DISTANCE', 1)
-    assert len(out) > 0
+    exp = oracle_prefix_tables(l, r, 'id', 'id', 's', 's', tok,
+                               'EDIT_DISTANCE', 1)
+    assert exp
+    for route in each_route():
+        out = f.filter_tables(l, r, 'id', 'id', 's', 's')
+        assert _pairs_once(out) == exp, route
 
 
-def test_np_kernel_salted_dup_classes(ray_session):
-    # several identical records share a salted heavy token: class collapse
-    # + grid roles + identity emission must still be exact-once
+def test_np_kernel_salted_dup_classes(ray_session, each_route):
+    # several identical records share a salted heavy token: signature
+    # collapse + grid roles + identity emission must still be exact-once
     rows = ['common heavy alpha beta'] * 6 + \
            ['common heavy alpha gamma'] * 3 + ['rare solo text'] * 2
     l = pd.DataFrame({'id': range(len(rows)), 's': rows})
     r = pd.DataFrame({'id': range(500, 500 + len(rows)), 's': rows})
     tok = WhitespaceTokenizer(return_set=True)
     f = OverlapFilter(tok, 2)
-    out = f.filter_tables(l, r, 'id', 'id', 's', 's', salt_df_threshold=2)
-    assert _pairs_once(out) == set(oracle_overlap_tables(
-        l, r, 'id', 'id', 's', 's', tok, 2, '>='))
+    exp = set(oracle_overlap_tables(l, r, 'id', 'id', 's', 's', tok, 2,
+                                    '>='))
+    for route in each_route():
+        out = f.filter_tables(l, r, 'id', 'id', 's', 's',
+                              salt_df_threshold=2)
+        assert _pairs_once(out) == exp, route
 
 
-def test_np_kernel_position_edit_distance(ray_session):
+def test_np_kernel_position_edit_distance(ray_session, each_route):
     """The EDIT_DISTANCE position-filter path (qgram bags, ED overlap
-    threshold with qval, ED size bounds) through the numpy kernel must
-    match the row-by-row oracle."""
+    threshold with qval, ED size bounds) must match the row-by-row oracle
+    on both routes."""
     names = ['martha', 'marhta', 'marta', 'jones', 'jonse', 'joness',
              'aaaaaa', 'aaaaab', 'zzzzz', 'different']
     l = pd.DataFrame({'id': range(len(names)), 's': names})
@@ -144,15 +152,9 @@ def test_np_kernel_position_edit_distance(ray_session):
                                         '', 'ly'])]})
     tok = QgramTokenizer(qval=2, return_set=False)
     f = PositionFilter(tok, 'EDIT_DISTANCE', 2)
-    out = f.filter_tables(l, r, 'id', 'id', 's', 's')
-    assert _pairs_once(out) == oracle_position_tables(
-        l, r, 'id', 'id', 's', 's', tok, 'EDIT_DISTANCE', 2)
-    assert len(out) > 0
-
-
-@pytest.mark.parametrize('mode', ['join', 'candidates', None])
-def test_pairgen_rejects_non_candidates_modes(mode):
-    """Joins run the slim-postings or local path; the bucket kernel only
-    serves the three filter_tables candidates modes."""
-    with pytest.raises(ValueError, match='mode'):
-        PairGenVerify('JACCARD', 0.5, mode=mode)
+    exp = oracle_position_tables(l, r, 'id', 'id', 's', 's', tok,
+                                 'EDIT_DISTANCE', 2)
+    assert exp
+    for route in each_route():
+        out = f.filter_tables(l, r, 'id', 'id', 's', 's')
+        assert _pairs_once(out) == exp, route

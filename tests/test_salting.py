@@ -78,7 +78,7 @@ def test_edit_distance_unicode_char_based():
     """ADVICE r1: DuckDB levenshtein is byte-based ('café' vs 'cafe' = 2);
     the reference is character-based (= 1).  Non-ASCII pairs must go through
     the exact character DP."""
-    from py_stringsimjoin_ray.stages.pairgen import _lev_many
+    from py_stringsimjoin_ray.stages.postings import _lev_many
     out = _lev_many(['café', 'naïve', 'abc'], ['cafe', 'naive', 'abd'])
     assert out.tolist() == [1, 1, 1]
 
