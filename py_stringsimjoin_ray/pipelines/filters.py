@@ -964,7 +964,7 @@ class SuffixFilter(Filter):
         if _gate_env:
             _gate = int(_gate_env)
         else:
-            from ..stages.slimjoin import broadcast_gate_bytes
+            from ..state.broadcast import broadcast_gate_bytes
             _gate = broadcast_gate_bytes()
         if (ranked_l.size_bytes() or 0) > _gate:
             raise ValueError(

@@ -30,13 +30,13 @@ logger = logging.getLogger('py_stringsimjoin_ray.ann')
 def ann_gate_bytes() -> int:
     """Object-store-fraction gate for the exact broadcast-corpus paths —
     same rule as every other broadcast in the engine
-    (``stages/slimjoin.broadcast_gate_bytes``), overridable with
+    (``state/broadcast.broadcast_gate_bytes``), overridable with
     ``SSJ_ANN_GATE_BYTES`` for tests."""
     import os
     env = os.environ.get('SSJ_ANN_GATE_BYTES')
     if env:
         return int(env)
-    from .slimjoin import broadcast_gate_bytes
+    from ..state.broadcast import broadcast_gate_bytes
     return broadcast_gate_bytes()
 
 

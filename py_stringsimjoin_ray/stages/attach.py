@@ -7,7 +7,7 @@ attribute values from the two source tables.  Two regimes (VERDICT r2
 #1/#3):
 
 - **broadcast** — the (key → attrs) projection fits the object-store budget
-  (same rule as ``stages/slimjoin.broadcast_gate_bytes``): ``ray.put`` it
+  (same rule as ``state/broadcast.broadcast_gate_bytes``): ``ray.put`` it
   once, positional-gather inside every batch.  This is the Ray-Data
   equivalent of the reference copying both tables into every joblib worker
   (``matcher/apply_matcher.py:254-260``) — paid once per node, not per task.
@@ -44,7 +44,7 @@ def attach_gate_bytes() -> int:
     env = os.environ.get('SSJ_ATTACH_GATE_BYTES')
     if env:
         return int(env)
-    from .slimjoin import broadcast_gate_bytes
+    from ..state.broadcast import broadcast_gate_bytes
     return broadcast_gate_bytes()
 
 

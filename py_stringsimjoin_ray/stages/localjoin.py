@@ -59,7 +59,7 @@ import ray
 from ..core.comp_ops import COMP_OP_MAP
 from .postings import RankPrefixStage, heavy_token_table, make_rank_lookup
 from .slimjoin import (BroadcastVerify, SigStage, SlimPostingsStage,
-                       _np_candidates, _pairs_frame, _TsigBroadcast)
+                       _fold_tsig, _np_candidates, _pairs_frame)
 from .tokenize import TokenizeStage, partial_token_counts
 
 DEFAULT_LOCAL_MAX_ROWS = 1_000_000
@@ -215,59 +215,12 @@ def _local_lut(tok_tables: list, cfg):
 
 
 def _local_tsig(tagged: pa.Table, same_relation: bool, keep_string: bool):
-    """Single-shard equivalent of slimjoin._build_tsig_shard: fold the
-    tagged records into the in-process signature table + memberships."""
-    sigs = tagged['sig'].to_numpy()
-    if len(sigs) == 0:
+    """The one-shard Tsig: fold the tagged records into the in-process
+    signature table + memberships (``slimjoin._fold_tsig``, the fold of
+    every Dataset-route shard builder) → ``(bc, tsig_tbl)``."""
+    if len(tagged) == 0:
         return None, None
-    order = np.argsort(sigs, kind='stable')
-    ss = sigs[order]
-    first = np.concatenate(([True], ss[1:] != ss[:-1]))
-    take = order[first]
-    uniq = ss[first]
-    sub = tagged.take(pa.array(take))
-    ranks = sub['ranks'].combine_chunks()
-    rank_off = ranks.offsets.to_numpy().astype(np.int64)
-    rank_flat = (ranks.values.to_numpy(zero_copy_only=False)
-                 if len(ranks.values) else np.empty(0, np.int32))
-
-    side = tagged['side'].to_numpy(zero_copy_only=False)
-    keys = tagged['key'].to_numpy(zero_copy_only=False)
-    m_idx = np.searchsorted(uniq, sigs)
-    n = len(uniq)
-
-    def side_arrays(mask):
-        idx, kk = m_idx[mask], keys[mask]
-        o = np.argsort(idx, kind='stable')
-        idx, kk = idx[o], kk[o]
-        counts = np.bincount(idx, minlength=n)
-        off = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        return off, kk
-
-    l_off, l_flat = side_arrays(side == 0)
-    if same_relation:
-        r_off, r_flat = l_off, l_flat
-    else:
-        r_off, r_flat = side_arrays(side == 1)
-
-    sz = sub['sz'].to_numpy().astype(np.int64)
-    plen = sub['plen'].to_numpy().astype(np.int64)
-    bc = _TsigBroadcast(
-        uniq.astype(np.int64), rank_off, rank_flat, sz, plen,
-        l_off, l_flat, r_off, r_flat,
-        sub['s'].to_numpy(zero_copy_only=False) if keep_string else None)
-    tsig_tbl = pa.table({
-        'sig': pa.array(uniq.astype(np.int64)),
-        'si': pa.array(np.arange(n, dtype=np.int32), pa.int32()),
-        'sz': pa.array(sz.astype(np.int32), pa.int32()),
-        'plen': pa.array(plen.astype(np.int32), pa.int32()),
-        'ranks': pa.ListArray.from_arrays(
-            pa.array(rank_off, pa.int32()),
-            pa.array(rank_flat, pa.int32())),
-        'c_l': pa.array(np.diff(l_off)),
-        'c_r': pa.array(np.diff(r_off)),
-    })
-    return bc, tsig_tbl
+    return _fold_tsig(tagged, tagged, same_relation, keep_string)
 
 
 def _candgen_chunk(tbl: pa.Table, cfg, same_relation: bool) -> np.ndarray:
@@ -652,17 +605,15 @@ def _local_pairs(arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr,
 _CANDIDATES_TASK = ray.remote(num_cpus=1)(_local_pairs)
 
 
-def _verify_chunk(bc_or_ref, pair64: np.ndarray, cfg,
+def _verify_chunk(bc, pair64: np.ndarray, cfg,
                   same_relation: bool) -> tuple:
-    """(pairs, record pairs verified) for one slice of candidates."""
-    vf = BroadcastVerify(bc_or_ref, cfg.sim_type, cfg.threshold, cfg.comp_op,
-                         cfg.qval, same_relation=same_relation,
+    """(pairs, record pairs verified) for one slice of candidates; the
+    table is the one shard, based at si 0."""
+    vf = BroadcastVerify([bc], [0], cfg.sim_type, cfg.threshold,
+                         cfg.comp_op, cfg.qval, same_relation=same_relation,
                          self_join=cfg.self_join, round_score=True,
                          counter_name=cfg.counter_name, mode=cfg.mode)
-    if not isinstance(bc_or_ref, ray.ObjectRef):
-        vf._bc = bc_or_ref
-    df = vf(pa.table({'vb': pa.array(np.zeros(len(pair64), np.int32)),
-                      'pair64': pa.array(pair64, pa.int64())}))
+    df = vf(pa.table({'pair64': pa.array(pair64, pa.int64())}))
     return df, vf.checked
 
 

@@ -42,23 +42,23 @@ exactly what the verify attach reconstructs.
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 import ray
 import ray.data
+from ray.data.context import ShuffleStrategy
 
 from ..core import bounds
 from ..core.comp_ops import COMP_OP_MAP
+from ..state.broadcast import _BROADCAST_GATE_FLOOR
 from .postings import KNUTH, MAX_GRID_AREA, _lev_many, _token_hashes
 
 _MASK63 = np.uint64((1 << 63) - 1)
-
-
-def _hash_bucket(sig: np.ndarray, num_buckets: int) -> np.ndarray:
-    return ((sig.astype(np.uint64) * KNUTH) >> np.uint64(13)) \
-        % np.uint64(num_buckets)
 
 
 class SigStage:
@@ -112,22 +112,11 @@ class SlimPostingsStage:
     with side membership carried as hl/hr flags."""
 
     def __init__(self, num_buckets: int, heavy_ref=None,
-                 emit_sides: bool = True, num_parts: int | None = None,
-                 slim_wire: bool = False):
+                 emit_sides: bool = True, num_parts: int | None = None):
         self.num_buckets = num_buckets
         # same-relation broadcast postings have hl = hr = 1 on every row;
         # emit_sides=False drops the two flag columns from the shuffle
         self.emit_sides = emit_sides
-        # slim_wire (broadcast path only): ship (part:i16, tok:i32, sig:i32,
-        # pos:i32, cell:i16) = 16 B/posting instead of the 26 B full row —
-        # sz and kh are recomputed in the candgen kernel from the broadcast
-        # signature table (sz = bc.sz[si]; kh = bc.sigs[si] % g), and the
-        # absolute bucket/grid-cell id is only HASHED into 'part' here,
-        # never shipped.  'cell' is the grid-LOCAL cell i*g+j (-1 for
-        # unsalted rows); (tok, cell) reproduces the (bucket, tok) grouping
-        # exactly because bucket = hash(tok) for unsalted rows and the
-        # absolute cell id is a function of (tok, cell) for salted ones.
-        self.slim_wire = slim_wire
         # num_parts: emit a 'part' = hash(bucket) % num_parts column so the
         # kernel can process MANY buckets per call (one SQL joining on
         # (bucket, tok) per partition) — per-group DuckDB planning overhead
@@ -177,8 +166,7 @@ class SlimPostingsStage:
             % np.uint64(self.num_buckets)
         bucket = bucket.astype(np.int64)
         kh_col = np.full(len(tok), -1, dtype=np.int16)
-        cell_col = np.full(len(tok), -1, dtype=np.int16)
-        out = (row_idx, tok, pos, bucket, kh_col, cell_col)
+        out = (row_idx, tok, pos, bucket, kh_col)
 
         if self.heavy:
             hr, hidx_arr, hg_arr = self._heavy_arrays()
@@ -197,43 +185,30 @@ class SlimPostingsStage:
                 c = (np.arange(len(rep)) -
                      np.repeat(np.concatenate(([0], np.cumsum(g)[:-1])), g))
                 khr, gr, baser = khv[rep], g[rep], base[rep]
-                cl = np.minimum(khr, c) * gr + np.maximum(khr, c)
-                cells = baser + cl
+                cells = baser + np.minimum(khr, c) * gr + np.maximum(khr, c)
                 khcol = np.where(c == khr, -1, khr).astype(np.int16)
                 keep = ~hmask
                 out = (np.concatenate([row_idx[keep], row_idx[sel][rep]]),
                        np.concatenate([tok[keep], tok[sel][rep]]),
                        np.concatenate([pos[keep], pos[sel][rep]]),
                        np.concatenate([bucket[keep], cells]),
-                       np.concatenate([kh_col[keep], khcol]),
-                       np.concatenate([cell_col[keep],
-                                       cl.astype(np.int16)]))
+                       np.concatenate([kh_col[keep], khcol]))
 
-        row_idx, tok, pos, bucket, kh_col, cell_col = out
+        row_idx, tok, pos, bucket, kh_col = out
         take = pa.array(row_idx)
         sig_col = 'si' if 'si' in batch.column_names else 'sig'
-        if self.slim_wire:
-            cols = {
-                'tok': pa.array(tok.astype(np.int32)),
-                'sig': batch[sig_col].take(take),
-                'pos': pa.array(pos),
-                'cell': pa.array(cell_col),
-            }
-        else:
-            cols = {
-                'bucket': pa.array(bucket.astype(np.int32), pa.int32()),
-                'tok': pa.array(tok.astype(np.int32)),
-                'sig': batch[sig_col].take(take),
-                'sz': batch['sz'].take(take),
-                'pos': pa.array(pos),
-                'kh': pa.array(kh_col),
-            }
+        cols = {
+            'bucket': pa.array(bucket.astype(np.int32), pa.int32()),
+            'tok': pa.array(tok.astype(np.int32)),
+            'sig': batch[sig_col].take(take),
+            'sz': batch['sz'].take(take),
+            'pos': pa.array(pos),
+            'kh': pa.array(kh_col),
+        }
         if self.num_parts:
             part = ((bucket.astype(np.uint64) * KNUTH) >> np.uint64(9)) \
                 % np.uint64(self.num_parts)
-            cols['part'] = (pa.array(part.astype(np.int16), pa.int16())
-                            if self.slim_wire else
-                            pa.array(part.astype(np.int32), pa.int32()))
+            cols['part'] = pa.array(part.astype(np.int32), pa.int32())
         if self.emit_sides:
             hl = (batch['c_l'].to_numpy() > 0).astype(np.int8)
             hr_flag = (batch['c_r'].to_numpy() > 0).astype(np.int8)
@@ -294,8 +269,8 @@ def _candgen_parts(nsig: int) -> int:
     scaling protocol requires), growing with the DATA beyond ~25M distinct
     signatures so one partition never has to hold an unbounded slice of a
     corpus-scale postings stream.  Depends only on the input, never on
-    cluster size.  Capped at 32768: the slim-wire postings carry 'part'
-    as int16 (16 B rows — the whole point of the slim wire)."""
+    cluster size.  Capped at 32768 (reached at ~3.3B distinct signatures),
+    which bounds the group count of the candgen exchange."""
     return int(min(32768, max(256, nsig // 100_000)))
 
 
@@ -308,7 +283,7 @@ _EXPAND_SLAB = 8_000_000
 
 
 def _np_candidates(tbl: pa.Table, sim_type: str, threshold,
-                   same_relation: bool, bc=None, heavy_arrays=None,
+                   same_relation: bool,
                    mode: str = 'join') -> tuple[np.ndarray, np.ndarray]:
     """Vectorized per-partition candidate generation over slim postings.
 
@@ -339,37 +314,15 @@ def _np_candidates(tbl: pa.Table, sim_type: str, threshold,
     orientations when both memberships exist)."""
     tok = tbl['tok'].to_numpy().astype(np.uint32)
     si0 = tbl['sig'].to_numpy()
-    if 'bucket' in tbl.column_names:
-        bucket = tbl['bucket'].to_numpy().astype(np.uint64)
-        key0 = (bucket << np.uint64(32)) | tok.astype(np.uint64)
-        sz0 = tbl['sz'].to_numpy()
-        kh0 = tbl['kh'].to_numpy()
-    else:
-        # slim wire: (tok, cell) reproduces the (bucket, tok) grouping; sz
-        # and kh are recomputed from the broadcast signature table (16 B
-        # postings never ship them — see SlimPostingsStage.slim_wire)
-        cell = tbl['cell'].to_numpy().astype(np.int64)
-        key0 = ((tok.astype(np.uint64) << np.uint64(16))
-                | (cell + 1).astype(np.uint64))
-        sz0 = bc.sz[si0]
-        kh0 = np.full(len(tok), -1, dtype=np.int16)
-        salted = cell >= 0
-        if salted.any():
-            hr0, hg0 = heavy_arrays
-            sel = np.nonzero(salted)[0]
-            p = np.minimum(np.searchsorted(hr0, tok[sel]),
-                           max(len(hr0) - 1, 0))
-            g = hg0[p]
-            i_cell, j_cell = cell[sel] // g, cell[sel] % g
-            khv = (bc.sigs[si0[sel]].astype(np.uint64)
-                   % g.astype(np.uint64)).astype(np.int64)
-            kh0[sel] = np.where(i_cell == j_cell, -1, khv).astype(np.int16)
+    bucket = tbl['bucket'].to_numpy().astype(np.uint64)
+    key0 = (bucket << np.uint64(32)) | tok.astype(np.uint64)
+    sz0 = tbl['sz'].to_numpy()
     o = np.lexsort((si0, sz0, key0))
     key = key0[o]
     si = si0[o].astype(np.int64)
     sz = sz0[o].astype(np.int32)
     pos = tbl['pos'].to_numpy()[o].astype(np.int32)
-    kh = kh0[o].astype(np.int16)
+    kh = tbl['kh'].to_numpy()[o].astype(np.int16)
     two_table = not same_relation
     if two_table:
         hl = tbl['hl'].to_numpy()[o].astype(bool)
@@ -498,19 +451,77 @@ class _TsigBroadcast:
         return np.searchsorted(self.sigs, sig_values)
 
 
+def _fold_tsig(pay: pa.Table, mem: pa.Table, same_relation: bool,
+               keep_string: bool) -> tuple:
+    """Fold payload rows (sig, sz, plen, ranks[, s]; a signature may
+    repeat) and memberships (sig, side, key) into ``(_TsigBroadcast,
+    postings-source table)``, both indexed by the dense signature rank
+    ``si`` = 0..n-1 in ascending signature order.  The one Tsig fold of
+    the local route (``localjoin._local_tsig``) and of every shard builder
+    (``_build_tsig_shard``)."""
+    sigs = pay['sig'].to_numpy()
+    order = np.argsort(sigs, kind='stable')
+    ss = sigs[order]
+    first = np.concatenate(([True], ss[1:] != ss[:-1]))
+    uniq = ss[first]
+    sub = pay.take(pa.array(order[first]))
+    ranks = sub['ranks'].combine_chunks()
+    rank_off = ranks.offsets.to_numpy().astype(np.int64)
+    rank_flat = (ranks.values.to_numpy(zero_copy_only=False)
+                 if len(ranks.values) else np.empty(0, np.int32))
+
+    # memberships grouped by (searchsorted sig index, side)
+    m_side = mem['side'].to_numpy(zero_copy_only=False)
+    m_key = mem['key'].to_numpy(zero_copy_only=False)
+    m_idx = np.searchsorted(uniq, mem['sig'].to_numpy())
+    n = len(uniq)
+
+    def side_arrays(mask):
+        idx, keys = m_idx[mask], m_key[mask]
+        o = np.argsort(idx, kind='stable')
+        counts = np.bincount(idx, minlength=n)
+        off = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        return off, keys[o]
+
+    l_off, l_flat = side_arrays(m_side == 0)
+    if same_relation:
+        r_off, r_flat = l_off, l_flat
+    else:
+        r_off, r_flat = side_arrays(m_side == 1)
+
+    sz = sub['sz'].to_numpy().astype(np.int64)
+    plen = sub['plen'].to_numpy().astype(np.int64)
+    bc = _TsigBroadcast(
+        uniq.astype(np.int64), rank_off, rank_flat, sz, plen,
+        l_off, l_flat, r_off, r_flat,
+        sub['s'].to_numpy(zero_copy_only=False) if keep_string else None)
+    tsig_tbl = pa.table({
+        'sig': pa.array(uniq.astype(np.int64)),
+        'si': pa.array(np.arange(n, dtype=np.int32), pa.int32()),
+        'sz': pa.array(sz.astype(np.int32), pa.int32()),
+        'plen': pa.array(plen.astype(np.int32), pa.int32()),
+        'ranks': pa.ListArray.from_arrays(
+            pa.array(rank_off, pa.int32()),
+            pa.array(rank_flat, pa.int32())),
+        'c_l': pa.array(np.diff(l_off)),
+        'c_r': pa.array(np.diff(r_off)),
+    })
+    return bc, tsig_tbl
+
+
 def _build_tsig_shard(shard, nshards, same_relation, keep_string, *blocks):
     """Shard builder: fold the block-distinct payloads + memberships whose
     63-bit signature falls in this shard's HIGH-BIT range (so shard order ==
-    global signature sort order) into sorted per-shard arrays.  Runs as one
-    of ``nshards`` parallel Ray tasks; blocks are zero-copy object-store
-    reads.
+    global signature sort order) into ``(_TsigBroadcast, postings-source
+    table, signature count)``, the table's ``si`` local to the shard.  Runs
+    as one of ``nshards`` parallel Ray tasks; blocks are zero-copy
+    object-store reads.
 
     Split blocks arrive SIG-SORTED (``_tsig_split_block``), so each block
     contributes a binary-search SLICE — a builder touches only its own
-    shard's bytes plus O(log block) per block, not O(block) per block.
-    That removes the former O(nshards × data) build cost that motivated
-    the low shard-count cap: shard count now scales freely with data size
-    (a 100 TB Tsig can use thousands of target-sized shards)."""
+    shard's bytes plus O(log block) per block, not O(block) per block, and
+    the shard count scales freely with data size (a 100 TB Tsig can use
+    thousands of target-sized shards)."""
     shift = np.uint64(63 - int(nshards).bit_length() + 1)
     lo_sig = np.int64(np.uint64(shard) << shift)
     # top shard: the exclusive bound (shard+1)<<shift is 2^63, past every
@@ -541,114 +552,19 @@ def _build_tsig_shard(shard, nshards, same_relation, keep_string, *blocks):
                            .select(['sig', 'side', 'key']))
 
     pay = pa.concat_tables(pay_parts).combine_chunks() if pay_parts else None
-    mem = pa.concat_tables(mem_parts).combine_chunks() if mem_parts else None
     if pay is None or len(pay) == 0:
-        return None, 0
-
-    sigs = pay['sig'].to_numpy()
-    order = np.argsort(sigs, kind='stable')
-    ss = sigs[order]
-    first = np.concatenate(([True], ss[1:] != ss[:-1]))
-    take = order[first]
-    uniq = ss[first]
-    sub = pay.take(pa.array(take))
-    ranks = sub['ranks'].combine_chunks()
-    rank_off = ranks.offsets.to_numpy().astype(np.int64)
-    rank_flat = (ranks.values.to_numpy(zero_copy_only=False)
-                 if len(ranks.values) else np.empty(0, np.int32))
-
-    # memberships grouped by (searchsorted sig index, side)
-    m_sig = mem['sig'].to_numpy()
-    m_side = mem['side'].to_numpy(zero_copy_only=False)
-    m_key = mem['key'].to_numpy(zero_copy_only=False)
-    m_idx = np.searchsorted(uniq, m_sig)
-    n = len(uniq)
-
-    def side_arrays(mask):
-        idx = m_idx[mask]
-        keys = m_key[mask]
-        o = np.argsort(idx, kind='stable')
-        idx, keys = idx[o], keys[o]
-        counts = np.bincount(idx, minlength=n)
-        off = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        return off, keys
-
-    l_off, l_flat = side_arrays(m_side == 0)
-    if same_relation:
-        r_off, r_flat = l_off, l_flat
-    else:
-        r_off, r_flat = side_arrays(m_side == 1)
-
-    sz = sub['sz'].to_numpy().astype(np.int64)
-    plen = sub['plen'].to_numpy().astype(np.int64)
-    # per-shard postings-source piece (si is GLOBAL — the stitcher rebases
-    # it; everything else is final, so the stitched table is a zero-copy
-    # chunked concat)
-    piece_tbl = pa.table({
-        'sig': pa.array(uniq.astype(np.int64)),
-        'si': pa.array(np.arange(n, dtype=np.int32), pa.int32()),
-        'sz': pa.array(sz.astype(np.int32), pa.int32()),
-        'plen': pa.array(plen.astype(np.int32), pa.int32()),
-        'ranks': pa.ListArray.from_arrays(
-            pa.array(rank_off, pa.int32()),
-            pa.array(rank_flat, pa.int32())),
-        'c_l': pa.array(np.diff(l_off)),
-        'c_r': pa.array(np.diff(r_off)),
-    })
-    return (uniq, rank_off, rank_flat, sz, plen,
-            l_off, l_flat, r_off, r_flat,
-            sub['s'].to_numpy(zero_copy_only=False) if keep_string else None,
-            piece_tbl), n
+        return None, None, 0
+    mem = pa.concat_tables(mem_parts).combine_chunks()
+    bc, tsig_tbl = _fold_tsig(pay, mem, same_relation, keep_string)
+    return bc, tsig_tbl, len(tsig_tbl)
 
 
-def _stitch_bc(same_relation, keep_string, *pieces):
-    """Broadcast-object stitch: concatenate the shard pieces (already in
-    global signature sort order — shards partition the HIGH bits) into the
-    single verify-side broadcast.  Pure memcpy concatenation; offset arrays
-    are rebased by the running totals.  The postings source does NOT pass
-    through here — the shard piece tables feed candgen directly (si rebased
-    per shard), so this stitch overlaps with postings + candgen."""
-    pieces = [p for p in pieces if p is not None]
-    if not pieces:
-        return None
-
-    def cat(i, dtype=None):
-        arrs = [p[i] for p in pieces]
-        out = np.concatenate(arrs)
-        return out.astype(dtype) if dtype is not None else out
-
-    def cat_off(i):
-        # piece offset arrays all start at 0; rebase each by the cumulative
-        # flat length of the preceding pieces
-        outs, base = [np.zeros(1, np.int64)], 0
-        for p in pieces:
-            off = p[i]
-            outs.append(off[1:].astype(np.int64) + base)
-            base += int(off[-1])
-        return np.concatenate(outs)
-
-    uniq = cat(0)
-    rank_off = cat_off(1)
-    rank_flat = cat(2)
-    sz = cat(3)
-    plen = cat(4)
-    l_off, l_flat = cat_off(5), cat(6)
-    if same_relation:
-        r_off, r_flat = l_off, l_flat
-    else:
-        r_off, r_flat = cat_off(7), cat(8)
-    s_arr = cat(9) if keep_string else None
-    return _TsigBroadcast(uniq, rank_off, rank_flat, sz, plen,
-                          l_off, l_flat, r_off, r_flat, s_arr)
-
-
-def _rebase_piece_tbl(base: int, nslices: int, piece):
+def _rebase_piece_tbl(base: int, nslices: int, tbl: pa.Table):
     """Per-shard postings-source table with the GLOBAL dense si index
     (shard base + local row number), returned as ``nslices`` zero-copy
     slices so the downstream Dataset starts at full block granularity
     WITHOUT a repartition all-to-all (the barrier used to starve the
     postings stage while it waited on the exchange)."""
-    tbl = piece[10]
     n = len(tbl)
     tbl = tbl.set_column(
         tbl.schema.get_field_index('si'), 'si',
@@ -699,22 +615,16 @@ def _tsig_split_block(b: pa.Table, keep_string: bool) -> pa.Table:
     return out.take(pa.array(np.argsort(final, kind='stable')))
 
 
-def _wrap_shard(piece):
-    """Shard piece tuple → per-shard ``_TsigBroadcast`` (sharded-broadcast
-    scale path: the stitch never happens, each shard is its own bounded
-    broadcast object)."""
-    if piece is None:
-        return None
-    return _TsigBroadcast(*piece[:10])
-
-
-def collect_tsig(tagged: ray.data.Dataset, same_relation: bool,
-                 keep_string: bool, nshards: int = 8) -> tuple:
-    """Fold per-block combiner outputs into the broadcast signature table
-    OFF the driver: the distributed split keeps per-block work parallel,
-    ``nshards`` parallel shard tasks fold disjoint signature ranges, and a
-    stitch task concatenates them — the driver only ever holds object refs.
-    Returns (bc_ref, postings_table_ref, num_sigs)."""
+def collect_tsig_shards(tagged: ray.data.Dataset, same_relation: bool,
+                        keep_string: bool, nshards: int) -> tuple:
+    """Fold per-block combiner outputs into ``nshards`` signature-table
+    shards OFF the driver: the split keeps per-block work parallel, and
+    ``nshards`` parallel builders fold disjoint HIGH-BIT signature ranges
+    (shard order == global si order), each into its own ``_TsigBroadcast``
+    ref bounded by the shard size — the driver only ever holds refs.
+    Returns ``(shard_refs, shard_starts, tbl_refs, num_sigs)`` where
+    ``shard_starts[s]`` is shard s's first GLOBAL si (dense, ascending) —
+    ``sp(si) = searchsorted(shard_starts, si, 'right') - 1``."""
     if nshards < 1:
         raise ValueError(f'nshards must be >= 1, got {nshards}')
     # shard ranges partition the signature HIGH bits: shard s holds sigs with
@@ -735,92 +645,40 @@ def collect_tsig(tagged: ray.data.Dataset, same_relation: bool,
     for bundle in split_ds.iter_internal_ref_bundles():
         refs.extend(bundle.block_refs)
     if not refs:
-        return None, None, 0
-    shard_builder = ray.remote(num_cpus=1, num_returns=2)(_build_tsig_shard)
-    out = [shard_builder.remote(s, nshards, same_relation,
-                                keep_string, *refs)
+        return None, None, None, 0
+    builder = ray.remote(num_cpus=1, num_returns=3)(_build_tsig_shard)
+    out = [builder.remote(s, nshards, same_relation, keep_string, *refs)
            for s in range(nshards)]
-    piece_refs = [o[0] for o in out]
-    sizes = [int(x) for x in ray.get([o[1] for o in out])]
+    sizes = [int(x) for x in ray.get([o[2] for o in out])]
     n = sum(sizes)
     if n == 0:
-        return None, None, 0
-    # the broadcast stitch is submitted but NOT waited on: the postings
-    # pieces feed candgen directly (si rebased per shard below), so the
-    # serial concat overlaps with the postings shuffle + candgen; only the
-    # verify stage (downstream) blocks on bc_ref.  Its request is capped at
-    # the session's CPUs: a task asking for more stays pending forever
-    cpus = int(ray.cluster_resources().get('CPU', 8))
-    stitcher = ray.remote(num_cpus=max(1, min(2, cpus)))(_stitch_bc)
-    bc_ref = stitcher.remote(same_relation, keep_string, *piece_refs)
+        return None, None, None, 0
+    shard_refs = [o[0] if s_ > 0 else None for o, s_ in zip(out, sizes)]
+    bases = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.int64)
     # pre-split each shard into enough slices that the postings Dataset is
     # born at target block granularity (cpus*8 blocks total) — no
     # repartition barrier between the shard builders and the postings map
-    live = sum(1 for s_ in sizes if s_ > 0)
-    nslices = max(1, -(-(cpus * 8) // max(1, live)))
-    rebase = ray.remote(num_cpus=1, num_returns=nslices)(_rebase_piece_tbl)
-    bases = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    tbl_refs = []
-    for b, s_, pr in zip(bases, sizes, piece_refs):
-        if s_ > 0:
-            out_refs = rebase.remote(int(b), nslices, pr)
-            tbl_refs.extend(out_refs if nslices > 1 else [out_refs])
-    return bc_ref, tbl_refs, n
-
-
-def collect_tsig_shards(tagged: ray.data.Dataset, same_relation: bool,
-                        keep_string: bool, nshards: int) -> tuple:
-    """Sharded-broadcast Tsig build (the beyond-gate scale path): the same
-    parallel shard builders as ``collect_tsig``, but the stitch never runs —
-    each shard (a HIGH-BIT signature range, so shard order == global si
-    order) becomes its own ``_TsigBroadcast`` ref bounded by the shard size.
-    Returns ``(shard_refs, shard_starts, tbl_refs, num_sigs)`` where
-    ``shard_starts[s]`` is shard s's first GLOBAL si (dense, ascending) —
-    ``sp(si) = searchsorted(shard_starts, si, 'right') - 1``."""
-    if nshards < 1:
-        raise ValueError(f'nshards must be >= 1, got {nshards}')
-
-    def split(b: pa.Table) -> pa.Table:
-        return _tsig_split_block(b, keep_string)
-    split.__name__ = 'split'
-
-    split_ds = tagged.map_batches(split, batch_format='pyarrow',
-                                  batch_size=None).materialize()
-    refs = []
-    for bundle in split_ds.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
-    if not refs:
-        return None, None, None, 0
-    shard_builder = ray.remote(num_cpus=1, num_returns=2)(_build_tsig_shard)
-    out = [shard_builder.remote(s, nshards, same_relation,
-                                keep_string, *refs)
-           for s in range(nshards)]
-    piece_refs = [o[0] for o in out]
-    sizes = [int(x) for x in ray.get([o[1] for o in out])]
-    n = sum(sizes)
-    if n == 0:
-        return None, None, None, 0
-    wrapper = ray.remote(num_cpus=1)(_wrap_shard)
-    shard_refs = [wrapper.remote(pr) if s_ > 0 else None
-                  for pr, s_ in zip(piece_refs, sizes)]
-    bases = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.int64)
     cpus = int(ray.cluster_resources().get('CPU', 8))
     live = sum(1 for s_ in sizes if s_ > 0)
     nslices = max(1, -(-(cpus * 8) // max(1, live)))
     rebase = ray.remote(num_cpus=1, num_returns=nslices)(_rebase_piece_tbl)
     tbl_refs = []
-    for b, s_, pr in zip(bases, sizes, piece_refs):
+    for b, s_, o in zip(bases, sizes, out):
         if s_ > 0:
-            out_refs = rebase.remote(int(b), nslices, pr)
+            out_refs = rebase.remote(int(b), nslices, o[1])
             tbl_refs.extend(out_refs if nslices > 1 else [out_refs])
     return shard_refs, bases, tbl_refs, n
 
 
+# ssjbench/trace.py wraps both names; the Dataset route calls only the above
+collect_tsig = collect_tsig_shards
+
+
 def tsig_postings_input(tbl_refs, num_sigs: int) -> ray.data.Dataset:
     """Dataset view of the per-shard postings-source tables built by the
-    remote collect_tsig builders — constructed from REFS, never fetched to
-    the driver."""
-    # collect_tsig already pre-splits each shard into slices (cpus*8
+    remote shard builders — constructed from REFS, never fetched to the
+    driver."""
+    # collect_tsig_shards already pre-splits each shard into slices (cpus*8
     # blocks total), so the Dataset is born at the granularity the
     # downstream groupby(bucket).map_groups stage needs — repartition only
     # in the degenerate under-split case
@@ -833,11 +691,15 @@ def tsig_postings_input(tbl_refs, num_sigs: int) -> ray.data.Dataset:
 
 
 class BroadcastCandGen:
-    """Per-partition candidate generation over slim postings (broadcast
-    path): the shared numpy triangle kernel (``_np_candidates``) emits one
-    int64 ``pair64`` = ``(si_a << 32) | si_b`` per distinct in-partition
-    candidate, keyed by its verify-shuffle bucket
-    ``vb = hash(pair64) % num_vbuckets``.
+    """Per-partition candidate generation over slim postings: the shared
+    numpy triangle kernel (``_np_candidates``) emits one int64 ``pair64`` =
+    ``(si_a << 32) | si_b`` per distinct in-partition candidate, keyed by
+    its verify-shuffle bucket ``vb = (shard(si_a) * K + shard(si_b)) *
+    shard_sub + hash(pair64) % shard_sub`` over the K Tsig shards starting
+    at ``shard_bases``.  Every pair of one verify group reads the SAME two
+    shards (bounded task memory) while ``shard_sub`` keeps the group count
+    near the bucket count; with one shard, ``vb = hash(pair64) %
+    shard_sub``.
 
     Exact-once semantics live downstream: the global ``np.unique`` in
     ``BroadcastVerify`` (a pair hashes to exactly one vb group) replaces
@@ -846,10 +708,8 @@ class BroadcastCandGen:
     prefix token always applies a sound positional gate, and verification
     is exact."""
 
-    def __init__(self, sim_type: str, threshold, qval=None,
-                 same_relation: bool = False, num_vbuckets: int = 512,
-                 bc_ref=None, heavy=None, shard_bases=None,
-                 shard_sub: int = 8, skew_name: str | None = None,
+    def __init__(self, sim_type: str, threshold, shard_bases, shard_sub: int,
+                 same_relation: bool = False, skew_name: str | None = None,
                  mode: str = 'join'):
         self.__name__ = 'BroadcastCandGen'
         self.mode = mode
@@ -857,45 +717,24 @@ class BroadcastCandGen:
         self._skew_cache: dict = {}
         self.sim_type = sim_type
         self.threshold = threshold
-        self.qval = qval
         self.same_relation = same_relation
-        self.num_vbuckets = num_vbuckets
-        # sharded-broadcast routing: vb = (shard(si_a)*K + shard(si_b)) *
-        # shard_sub + hash(pair64) % shard_sub, so every pair of one verify
-        # group reads the SAME two shard broadcasts (bounded task memory)
-        # while shard_sub keeps group sizes executor-friendly
         self.shard_bases = shard_bases
         self.shard_sub = shard_sub
-        # slim-wire inputs: the broadcast signature table supplies sz/kh
-        # (fetched once per worker, zero-copy) and the heavy map supplies
-        # the per-token grid size g
-        self.bc_ref = bc_ref
-        heavy = heavy or {}
-        self._hr = np.array(sorted(heavy), dtype=np.int64)
-        self._hg = np.array([heavy[r][1] for r in sorted(heavy)],
-                            dtype=np.int64)
-        self._bc = None
+        # the narrowest vb type: the verify exchange ships it next to each
+        # 8-B pair64
+        nvb = len(shard_bases) ** 2 * shard_sub
+        self._vb_dtype = (np.int16 if nvb <= 2 ** 15 else
+                          np.int32 if nvb <= 2 ** 31 else np.int64)
 
     def __call__(self, tbl) -> pa.Table:
         if isinstance(tbl, pd.DataFrame):
             tbl = pa.Table.from_pandas(tbl, preserve_index=False)
-        sharded = self.shard_bases is not None
-        if sharded:  # (spa*K + spb)*S keyspace needs the full 64 bits
-            vb_np, vb_pa = np.int64, pa.int64()
-        elif self.num_vbuckets < 2 ** 15:
-            vb_np, vb_pa = np.int16, pa.int16()
-        else:
-            vb_np, vb_pa = np.int32, pa.int32()
-        empty = pa.table({'vb': pa.array([], vb_pa),
+        empty = pa.table({'vb': pa.array(np.empty(0, self._vb_dtype)),
                           'pair64': pa.array([], pa.int64())})
         if len(tbl) == 0:
             return empty
-        if self._bc is None and self.bc_ref is not None:
-            self._bc = ray.get(self.bc_ref)
         sa, sb = _np_candidates(tbl, self.sim_type, self.threshold,
-                                self.same_relation, bc=self._bc,
-                                heavy_arrays=(self._hr, self._hg),
-                                mode=self.mode)
+                                self.same_relation, mode=self.mode)
         if len(sa) == 0:
             return empty
         pair64 = np.unique((sa << np.int64(32)) | sb)
@@ -903,21 +742,16 @@ class BroadcastCandGen:
             from ..state.skewstats import report as _skew_report
             _skew_report(self.skew_name, 'candgen', len(pair64),
                          self._skew_cache)
-        if sharded:
-            kk = np.int64(len(self.shard_bases))
-            ss = np.int64(self.shard_sub)
-            spa = np.searchsorted(self.shard_bases,
-                                  pair64 >> np.int64(32), 'right') - 1
-            spb = np.searchsorted(self.shard_bases,
-                                  pair64 & np.int64(0xFFFFFFFF),
-                                  'right') - 1
-            sub = (((pair64.view(np.uint64) * KNUTH) >> np.uint64(17))
-                   % np.uint64(ss)).astype(np.int64)
-            vb = (spa * kk + spb) * ss + sub
-        else:
-            vb = ((pair64.view(np.uint64) * KNUTH) >> np.uint64(17)) \
-                % np.uint64(self.num_vbuckets)
-        return pa.table({'vb': pa.array(vb.astype(vb_np), vb_pa),
+        kk = np.int64(len(self.shard_bases))
+        ss = np.int64(self.shard_sub)
+        spa = np.searchsorted(self.shard_bases,
+                              pair64 >> np.int64(32), 'right') - 1
+        spb = np.searchsorted(self.shard_bases,
+                              pair64 & np.int64(0xFFFFFFFF), 'right') - 1
+        sub = (((pair64.view(np.uint64) * KNUTH) >> np.uint64(17))
+               % np.uint64(ss)).astype(np.int64)
+        vb = (spa * kk + spb) * ss + sub
+        return pa.table({'vb': pa.array(vb.astype(self._vb_dtype)),
                          'pair64': pa.array(pair64, pa.int64())})
 
 
@@ -975,16 +809,15 @@ class BroadcastVerify:
                               emitted as the score
     """
 
-    def __init__(self, bc_ref, sim_type: str, threshold, comp_op: str,
-                 qval=None, same_relation: bool = False,
+    def __init__(self, shard_refs, shard_bases, sim_type: str, threshold,
+                 comp_op: str, qval=None, same_relation: bool = False,
                  self_join: bool = False, round_score: bool = True,
-                 counter_name=None, shard_refs=None, shard_bases=None,
-                 skew_name: str | None = None, mode: str = 'join'):
+                 counter_name=None, skew_name: str | None = None,
+                 mode: str = 'join'):
         self.__name__ = 'BroadcastVerify'
         self.mode = mode
         self.skew_name = skew_name
         self._skew_cache: dict = {}
-        self.bc_ref = bc_ref
         self.sim_type = sim_type
         self.threshold = threshold
         self.comp_op = comp_op
@@ -994,29 +827,25 @@ class BroadcastVerify:
         self.self_join = self_join
         self.round_score = round_score
         self.counter_name = counter_name
-        # sharded-broadcast mode: every pair of a group lives in ONE
-        # (shard_a, shard_b) cell (BroadcastCandGen routed it there), so the
-        # task fetches at most two bounded shard broadcasts instead of the
-        # stitched table
+        # every pair of a group lives in ONE (shard_a, shard_b) cell
+        # (BroadcastCandGen routed it there), so the task fetches at most
+        # two bounded shards; a shard is a _TsigBroadcast or its ref
         self.shard_refs = shard_refs
         self.shard_bases = shard_bases
-        self._bc = None
         self._shards: dict = {}
         self._counter = None  # actor handle cached once per task
         self.checked = 0  # record pairs verified by this instance
 
     def _shard(self, sp: int):
         if sp not in self._shards:
-            self._shards[sp] = ray.get(self.shard_refs[sp])
+            shard = self.shard_refs[sp]
+            self._shards[sp] = (ray.get(shard)
+                                if isinstance(shard, ray.ObjectRef)
+                                else shard)
         return self._shards[sp]
 
     def _sides(self, ia: np.ndarray, ib: np.ndarray):
-        """(bcA, la, bcB, lb): per-side broadcast + LOCAL indices.  In
-        stitched mode both sides are the one global table."""
-        if self.shard_bases is None:
-            if self._bc is None:
-                self._bc = ray.get(self.bc_ref)
-            return self._bc, ia, self._bc, ib
+        """(bcA, la, bcB, lb): per-side shard + LOCAL indices."""
         spa = int(np.searchsorted(self.shard_bases, ia[0], 'right') - 1)
         spb = int(np.searchsorted(self.shard_bases, ib[0], 'right') - 1)
         return (self._shard(spa), ia - self.shard_bases[spa],
@@ -1281,26 +1110,49 @@ class BroadcastVerify:
                 np.empty(0, np.float64))
 
 
-# Above this estimated signature-table size the broadcast regime gives way
-# to the distributed attach passes (no single node should hold the table).
-# The floor is 2 GiB; when the per-node object store is large the gate
-# scales to 15% of it (the broadcast is ONE mmapped copy per node, so the
-# budget that matters is per-node plasma capacity, not cluster total).
-_BROADCAST_GATE_FLOOR = 2 * 1024 ** 3
+# shard count: one shard per SSJ_SHARD_TARGET_BYTES of the estimated
+# signature table, a power of two (no empty top shards), at most
+# _MAX_SHARDS — a task-count sanity bound, since each builder slices the
+# split blocks by binary search instead of scanning them
+_SHARD_TARGET_BYTES = 256 * 1024 ** 2
+_MAX_SHARDS = 1024
 
 
-def broadcast_gate_bytes() -> int:
-    import os
-    env = os.environ.get('SSJ_BROADCAST_GATE_BYTES')
-    if env:
-        return int(env)
+def _shard_plan(size_bytes_hint: int | None, num_buckets: int) -> tuple:
+    """(K shards, verify sub-buckets per shard pair), both from the data.
+    K = next power of two of ceil(hint / target) in [1, _MAX_SHARDS]; the
+    K^2 * shard_sub verify groups cover at least ``num_buckets``, so one
+    shard routes pairs exactly as ``hash(pair64) % num_buckets``."""
+    target = int(os.environ.get('SSJ_SHARD_TARGET_BYTES',
+                                str(_SHARD_TARGET_BYTES)))
+    # no estimate: size the table as twice the broadcast floor (4 GiB)
+    est = size_bytes_hint or 2 * _BROADCAST_GATE_FLOOR
+    n = min(max(1, -(-int(est) // target)), _MAX_SHARDS)
+    k = 1 << (n - 1).bit_length()
+    return k, -(-num_buckets // (k * k))
+
+
+@contextlib.contextmanager
+def _shuffle_settings():
+    """Settings of the Datasets one join plan creates (each Dataset
+    snapshots the DataContext at creation), restored for the caller's
+    unrelated pipelines on exit:
+    - the candgen and verify shuffles are sorts — push-based shuffle
+      pipelines the merge with the map side (measured 1.6x on the
+      flagship's 29M-posting exchange);
+    - the executor's per-operator resource reservation is off: it splits
+      the CPU budget among ALL operators of the plan, so each barrier-
+      separated stage ran at ~1/5 of the cluster while the others sat idle
+      behind the sort barriers (measured: join window 25.0 s -> 13.0 s at
+      8 CPUs with reservation off, identical output)."""
+    ctx = ray.data.DataContext.get_current()
+    prev = ctx.shuffle_strategy, ctx.op_resource_reservation_enabled
+    ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
+    ctx.op_resource_reservation_enabled = False
     try:
-        total = ray.cluster_resources().get('object_store_memory', 0)
-        nodes = max(1, len([n for n in ray.nodes() if n.get('Alive', True)]))
-        return max(_BROADCAST_GATE_FLOOR, int(0.15 * total / nodes))
-    except Exception:  # pragma: no cover - ray not initialised
-        return _BROADCAST_GATE_FLOOR
-
+        yield
+    finally:
+        ctx.shuffle_strategy, ctx.op_resource_reservation_enabled = prev
 
 
 def slim_match_pairs(ranked_l, ranked_r, cfg, heavy_ref,
@@ -1308,8 +1160,16 @@ def slim_match_pairs(ranked_l, ranked_r, cfg, heavy_ref,
                      size_bytes_hint: int | None = None) -> ray.data.Dataset:
     """ranked datasets (key, sz, ranks, plen[, s]) → Dataset of
     (l_key, r_key[, _sim_score]) for the join or candidates mode
-    ``cfg.mode``."""
-    import os
+    ``cfg.mode``.
+
+    Tsig is built by K parallel shard builders, each shard (a HIGH-BIT
+    signature range) its own bounded _TsigBroadcast ref.  Candidate pairs
+    route by shard PAIR (BroadcastCandGen), so a verify task reads at most
+    TWO shards (~SSJ_SHARD_TARGET_BYTES each, zero-copy per node) and the
+    rank arrays never ride a pair exchange — the pair streams carry 8-B
+    pair64s end to end (measured on the 3x/4.46M-file corpus at 32 CPUs:
+    247 s with the former attach/expand passes, 63 s sharded).  Below the
+    target, K = 1: the one shard is the whole table."""
     keep_string = cfg.keep_string
     nb = cfg.num_buckets
     sig_stage = SigStage(hash_string=keep_string)
@@ -1327,123 +1187,8 @@ def slim_match_pairs(ranked_l, ranked_r, cfg, heavy_ref,
     else:
         tagged = tag(ranked_l, 0).union(tag(ranked_r, 1))
 
-    use_broadcast = os.environ.get('SSJ_FORCE_DISTRIBUTED') != '1' and (
-        size_bytes_hint is None or size_bytes_hint < broadcast_gate_bytes())
-
-    if use_broadcast:
-        # the one candidate-generation shuffle is a sort by bucket —
-        # push-based shuffle pipelines the merge with the map side
-        # (measured 1.6x on the flagship's 29M-posting exchange).  Each
-        # Dataset snapshots the DataContext at creation, so the ambient
-        # strategy is restored for the CALLER's unrelated pipelines while
-        # this join's datasets keep push-based.
-        from ray.data.context import ShuffleStrategy
-        ctx = ray.data.DataContext.get_current()
-        prev_strategy = ctx.shuffle_strategy
-        _strat = os.environ.get('SSJ_SHUFFLE_STRATEGY',
-                                'SORT_SHUFFLE_PUSH_BASED')
-        ctx.shuffle_strategy = getattr(ShuffleStrategy, _strat)
-        # the executor's per-operator resource reservation splits the CPU
-        # budget among ALL operators of this 5-op plan, so each barrier-
-        # separated stage runs at ~1/5 of the cluster while the others sit
-        # idle behind the sort barriers (measured: join window 25.0 s ->
-        # 13.0 s at 8 CPUs with reservation off, identical output).  The
-        # sorts serialize the stages anyway, so whichever stage has
-        # runnable tasks should own the whole cluster.
-        prev_reserve = ctx.op_resource_reservation_enabled
-        if os.environ.get('SSJ_OP_RESERVATION') != '1':
-            ctx.op_resource_reservation_enabled = False
-        prev_nagg = ctx.max_hash_shuffle_aggregators
-        prev_ppc = ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override
-        if _strat == 'HASH_SHUFFLE':
-            # aggregator actors reserve num_partitions x per-partition CPU
-            # PER shuffle operator; the defaults (200 x 0.0625 = 12.5 CPUs
-            # per op) oversubscribe small clusters and stall the plan behind
-            # min_hash_shuffle_aggregator_wait_time_in_s
-            ncpu = int(ray.cluster_resources().get('CPU', 8))
-            ctx.max_hash_shuffle_aggregators = int(os.environ.get(
-                'SSJ_HASH_AGGREGATORS', str(max(2, ncpu // 2))))
-            ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = \
-                float(os.environ.get('SSJ_HASH_CPU_PER_PART',
-                                     str(max(1.0, ncpu / 8.0) / 200.0)))
-        try:
-            bc_ref, tbl_refs, nsig = collect_tsig(tagged, same_relation,
-                                                  keep_string)
-            if bc_ref is None:
-                return ray.data.from_pandas(pd.DataFrame({
-                    'l_key': np.array([], object),
-                    'r_key': np.array([], object),
-                    '_sim_score': np.array([], np.float64)}))
-            # data-dependent, CLUSTER-independent: the kernel-call count
-            # (and so the total candgen work) must not depend on cluster
-            # size, only the packing does — but a fixed count would make
-            # each partition group unboundedly large at corpus scale, so
-            # it grows with the signature count (256 up to ~25M sigs,
-            # ~100k sigs per partition beyond)
-            nparts = _candgen_parts(nsig)
-            heavy = {}
-            if heavy_ref is not None:
-                heavy = (ray.get(heavy_ref)
-                         if isinstance(heavy_ref, ray.ObjectRef)
-                         else heavy_ref)
-            postings = tsig_postings_input(tbl_refs, nsig).map_batches(
-                SlimPostingsStage(nb, heavy_ref,
-                                  emit_sides=not same_relation,
-                                  num_parts=nparts, slim_wire=True),
-                batch_format='pyarrow')
-            cand = postings.groupby('part').map_groups(
-                BroadcastCandGen(cfg.sim_type, cfg.threshold, cfg.qval,
-                                 same_relation=same_relation,
-                                 num_vbuckets=nb, bc_ref=bc_ref,
-                                 heavy=heavy,
-                                 skew_name=cfg.skew_name, mode=cfg.mode),
-                batch_format='pyarrow')
-            fn = BroadcastVerify(
-                bc_ref, cfg.sim_type, cfg.threshold, cfg.comp_op, cfg.qval,
-                same_relation=same_relation, self_join=cfg.self_join,
-                round_score=True, counter_name=cfg.counter_name,
-                skew_name=cfg.skew_name, mode=cfg.mode)
-            return cand.groupby('vb').map_groups(fn, batch_format='pyarrow')
-        finally:
-            ctx.shuffle_strategy = prev_strategy
-            ctx.max_hash_shuffle_aggregators = prev_nagg
-            ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override \
-                = prev_ppc
-            ctx.op_resource_reservation_enabled = prev_reserve
-
-
-    # ---- sharded-broadcast scale path ------------------------------------
-    # Tsig is built by the SAME parallel shard builders as the broadcast
-    # path, but never stitched: each shard (a HIGH-BIT signature range) is
-    # its own bounded _TsigBroadcast ref.  Candidate pairs route by shard
-    # PAIR (BroadcastCandGen.shard_bases), so a verify task reads at most
-    # TWO shards (~SSJ_SHARD_TARGET_BYTES each, zero-copy per node) and the
-    # rank arrays never ride a pair exchange — the pair streams carry 8-B
-    # pair64s end to end.  Replaces the former five-barrier attach/expand
-    # pipeline (measured on the 3x/4.46M-file corpus at 32 CPUs: 247 s);
-    # the only full-payload exchanges left are the split combiner and the
-    # shard builders' object reads.
-    from ray.data.context import ShuffleStrategy
-    ctx = ray.data.DataContext.get_current()
-    prev_strategy = ctx.shuffle_strategy
-    ctx.shuffle_strategy = getattr(
-        ShuffleStrategy,
-        os.environ.get('SSJ_SHUFFLE_STRATEGY', 'SORT_SHUFFLE_PUSH_BASED'))
-    prev_reserve = ctx.op_resource_reservation_enabled
-    if os.environ.get('SSJ_OP_RESERVATION') != '1':
-        ctx.op_resource_reservation_enabled = False
-    try:
-        target = int(os.environ.get('SSJ_SHARD_TARGET_BYTES',
-                                    str(256 * 1024 ** 2)))
-        est = size_bytes_hint or (2 * _BROADCAST_GATE_FLOOR)
-        # shard builders take binary-search SLICES of the sig-sorted split
-        # blocks (round 5), so per-shard build cost is its own bytes plus
-        # O(blocks · log) — shard count scales freely with data size and
-        # the cap is only a task-count sanity bound (it previously had to
-        # be 64 because each builder scanned ALL blocks)
-        max_sh = int(os.environ.get('SSJ_MAX_SHARDS', '1024'))
-        nsh = min(max(8, -(-int(est) // target)), max_sh)
-        nsh = 1 << (int(nsh) - 1).bit_length()  # pow2: no empty top shards
+    nsh, shard_sub = _shard_plan(size_bytes_hint, nb)
+    with _shuffle_settings():
         shard_refs, bases, tbl_refs, nsig = collect_tsig_shards(
             tagged, same_relation, keep_string, nsh)
         if nsig == 0:
@@ -1451,29 +1196,18 @@ def slim_match_pairs(ranked_l, ranked_r, cfg, heavy_ref,
                 'l_key': np.array([], object),
                 'r_key': np.array([], object),
                 '_sim_score': np.array([], np.float64)}))
-        heavy = {}
-        if heavy_ref is not None:
-            heavy = (ray.get(heavy_ref)
-                     if isinstance(heavy_ref, ray.ObjectRef) else heavy_ref)
         postings = tsig_postings_input(tbl_refs, nsig).map_batches(
             SlimPostingsStage(nb, heavy_ref, emit_sides=not same_relation,
                               num_parts=_candgen_parts(nsig)),
             batch_format='pyarrow')
         cand = postings.groupby('part').map_groups(
-            BroadcastCandGen(cfg.sim_type, cfg.threshold, cfg.qval,
+            BroadcastCandGen(cfg.sim_type, cfg.threshold, bases, shard_sub,
                              same_relation=same_relation,
-                             heavy=heavy, shard_bases=bases,
-                             shard_sub=int(os.environ.get(
-                                 'SSJ_SHARD_SUB', '8')),
                              skew_name=cfg.skew_name, mode=cfg.mode),
             batch_format='pyarrow')
         fn = BroadcastVerify(
-            None, cfg.sim_type, cfg.threshold, cfg.comp_op, cfg.qval,
-            same_relation=same_relation, self_join=cfg.self_join,
+            shard_refs, bases, cfg.sim_type, cfg.threshold, cfg.comp_op,
+            cfg.qval, same_relation=same_relation, self_join=cfg.self_join,
             round_score=True, counter_name=cfg.counter_name,
-            skew_name=cfg.skew_name, mode=cfg.mode,
-            shard_refs=shard_refs, shard_bases=bases)
+            skew_name=cfg.skew_name, mode=cfg.mode)
         return cand.groupby('vb').map_groups(fn, batch_format='pyarrow')
-    finally:
-        ctx.shuffle_strategy = prev_strategy
-        ctx.op_resource_reservation_enabled = prev_reserve

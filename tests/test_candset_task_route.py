@@ -212,3 +212,17 @@ def test_join_honours_tokenize_override():
         out = jaccard_join(A, A, 'id', 'id', 's', 's', tok, 0.9)
         assert set(zip(out['l_id'], out['r_id'])) == \
             {(0, 0), (0, 1), (1, 0), (1, 1)}, type(tok).__name__
+
+
+def test_broadcast_gate_adaptive(monkeypatch):
+    """The broadcast gate honors the env override and otherwise floors at
+    2 GiB, scaling with the per-node object store; the attach regime
+    reads it unless its own override is set."""
+    from py_stringsimjoin_ray.stages.attach import attach_gate_bytes
+    from py_stringsimjoin_ray.state.broadcast import broadcast_gate_bytes
+    monkeypatch.setenv('SSJ_BROADCAST_GATE_BYTES', '12345')
+    assert broadcast_gate_bytes() == 12345
+    monkeypatch.delenv('SSJ_ATTACH_GATE_BYTES', raising=False)
+    assert attach_gate_bytes() == 12345
+    monkeypatch.delenv('SSJ_BROADCAST_GATE_BYTES')
+    assert broadcast_gate_bytes() >= 2 * 1024 ** 3

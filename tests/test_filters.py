@@ -19,18 +19,38 @@ WS = WhitespaceTokenizer(return_set=True)
 
 # filter_tables routes: the local route (one Ray task) and the Dataset route
 # (the slim-postings pipeline's candgen and verify shuffles); small inputs
-# take the local route by default, so the oracle tests pin both explicitly
-ROUTES = ('force', '0')
+# take the local route by default, so the oracle tests pin both explicitly.
+# 'sharded' is the Dataset route again with a Tsig shard target so small
+# that the inputs fold into several shards instead of one (2-8 on the
+# person tables)
+ROUTES = ('force', '0', 'sharded')
+_SMALL_SHARD_TARGET = '300'
 
 
 @pytest.fixture
 def each_route(monkeypatch):
     """``for route in each_route(): ...`` runs the loop body once per
-    ``SSJ_LOCAL_JOIN`` route, with the variable set."""
+    route, with its ``SSJ_LOCAL_JOIN`` (and shard target) set; after the
+    loop, the sharded route must have built more than one shard."""
+    from py_stringsimjoin_ray.stages import slimjoin
+    shard_counts = []
+    build = slimjoin.collect_tsig_shards
+
+    def counted(tagged, same_relation, keep_string, nshards):
+        shard_counts.append(nshards)
+        return build(tagged, same_relation, keep_string, nshards)
+
     def routes():
         for route in ROUTES:
-            monkeypatch.setenv('SSJ_LOCAL_JOIN', route)
+            if route == 'sharded':
+                monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')
+                monkeypatch.setenv('SSJ_SHARD_TARGET_BYTES',
+                                   _SMALL_SHARD_TARGET)
+                monkeypatch.setattr(slimjoin, 'collect_tsig_shards', counted)
+            else:
+                monkeypatch.setenv('SSJ_LOCAL_JOIN', route)
             yield route
+        assert shard_counts and min(shard_counts) > 1, shard_counts
     return routes
 
 

@@ -1,7 +1,8 @@
-"""Slim-join regime coverage: the broadcast single-shuffle kernel is the
-default at test scale; the distributed attach/expand passes (the beyond-gate
-scale path) are forced here via SSJ_FORCE_DISTRIBUTED and must produce the
-identical pair set."""
+"""Dataset-route coverage of the slim join: small inputs take the local
+route, so these tests force the Dataset route (SSJ_FORCE_DISTRIBUTED or
+SSJ_LOCAL_JOIN=0) and pin its pair set to the local route's — with the
+one Tsig shard a small input folds into, and with many shards (a tiny
+SSJ_SHARD_TARGET_BYTES)."""
 
 import numpy as np
 import pandas as pd
@@ -153,14 +154,71 @@ def test_expand_slab_boundary_duplicate_class(monkeypatch):
     assert got == exp
 
 
-def test_broadcast_gate_adaptive(monkeypatch):
-    """The broadcast/distributed regime gate honors the env override and
-    otherwise floors at 2 GiB, scaling with the per-node object store."""
-    from py_stringsimjoin_ray.stages.slimjoin import broadcast_gate_bytes
-    monkeypatch.setenv('SSJ_BROADCAST_GATE_BYTES', '12345')
-    assert broadcast_gate_bytes() == 12345
-    monkeypatch.delenv('SSJ_BROADCAST_GATE_BYTES')
-    assert broadcast_gate_bytes() >= 2 * 1024 ** 3
+def test_small_dataset_route_join_builds_one_shard(parts, monkeypatch):
+    """Below SSJ_SHARD_TARGET_BYTES the Dataset route folds the whole
+    signature table into ONE shard, and its pair set is the local
+    route's."""
+    import py_stringsimjoin_ray.stages.slimjoin as sj
+    tok = WhitespaceTokenizer(return_set=True)
+    base = jaccard_join(parts, parts, 'p_partkey', 'p_partkey', 'p_name',
+                        'p_name', tok, 0.5)
+    built = []
+    build = sj.collect_tsig_shards
+
+    def counted(tagged, same_relation, keep_string, nshards):
+        out = build(tagged, same_relation, keep_string, nshards)
+        built.append((nshards, len(out[0])))
+        return out
+    monkeypatch.setattr(sj, 'collect_tsig_shards', counted)
+    monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')
+    dist = jaccard_join(parts, parts, 'p_partkey', 'p_partkey', 'p_name',
+                        'p_name', tok, 0.5)
+    assert built == [(1, 1)]
+    assert _pairs(base) == _pairs(dist)
+
+
+def test_plan_restores_caller_data_context(parts, monkeypatch):
+    """The Dataset route sets push-based sort shuffle and reservation off
+    for its own plan only: the caller's DataContext comes back unchanged
+    when the call returns and when the plan build raises."""
+    import ray.data
+    from ray.data.context import ShuffleStrategy
+
+    import py_stringsimjoin_ray.stages.slimjoin as sj
+    ctx = ray.data.DataContext.get_current()
+
+    def settings():
+        return ctx.shuffle_strategy, ctx.op_resource_reservation_enabled
+
+    saved = settings()
+    caller = (ShuffleStrategy.SORT_SHUFFLE_PULL_BASED, True)
+    inside = []
+    build = sj.collect_tsig_shards
+
+    def observed(*args):
+        inside.append(settings())
+        return build(*args)
+
+    def failing(*args):
+        raise RuntimeError('plan build failed')
+
+    tok = WhitespaceTokenizer(return_set=True)
+    monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')
+    try:
+        ctx.shuffle_strategy, ctx.op_resource_reservation_enabled = caller
+        monkeypatch.setattr(sj, 'collect_tsig_shards', observed)
+        out = jaccard_join(parts, parts, 'p_partkey', 'p_partkey', 'p_name',
+                           'p_name', tok, 0.5)
+        assert len(out) > 0
+        assert inside == [(ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED, False)]
+        assert settings() == caller
+        monkeypatch.setattr(sj, 'collect_tsig_shards', failing)
+        with pytest.raises(RuntimeError, match='plan build failed'):
+            jaccard_join(parts, parts, 'p_partkey', 'p_partkey', 'p_name',
+                         'p_name', tok, 0.5)
+        assert settings() == caller
+    finally:
+        ctx.shuffle_strategy, ctx.op_resource_reservation_enabled = saved
 
 
 def test_sharded_path_many_shards(parts, monkeypatch):
