@@ -16,38 +16,20 @@ def entry() -> Any:
     """Flagship pipeline on sf0.001: document dedup + transitive clustering —
     exact dedup, word-5-gram Jaccard near-dup matches via the prefix-filter
     self-join, connected components, cluster id per document."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
     import ray.data
 
     from py_stringsimjoin_ray.core.tokenizers import WordQgramTokenizer
     from py_stringsimjoin_ray.pipelines.join import jaccard_join
-    from py_stringsimjoin_ray.stages.cluster import connected_components
+    from py_stringsimjoin_ray.stages.cluster import (attach_components,
+                                                     connected_components)
 
     docs = ray.data.read_parquet(f'{SF0001}/documents.parquet')
     pairs = jaccard_join(docs, docs, 'doc_id', 'doc_id', 'text', 'text',
                          WordQgramTokenizer(kval=5, return_set=True), 0.6,
                          output='dataset')
-
-    def to_edges(batch: pa.Table) -> pa.Table:
-        return pa.table({'u': pc.cast(batch['l_key'], pa.int64()),
-                         'v': pc.cast(batch['r_key'], pa.int64())})
-
-    comp = connected_components(
-        pairs.map_batches(to_edges, batch_format='pyarrow'))
-    comp = comp.map_batches(
-        lambda b: pa.table({'doc_id': b['node'], 'component': b['component']}),
-        batch_format='pyarrow')
-    base = docs.map_batches(
-        lambda b: pa.table({'doc_id': b['doc_id'], 'component': b['doc_id']}),
-        batch_format='pyarrow')
-    from py_stringsimjoin_ray.stages.groupagg import bucketed_group_agg
-    membership = bucketed_group_agg(base.union(comp), ['doc_id'],
-                                    [('cluster', 'component', 'min')])
-    return membership.map_batches(
-        lambda b: pa.table({'doc_id': b['doc_id'],
-                            'cluster': b['cluster']}),
-        batch_format='pyarrow')
+    return attach_components(docs.select_columns(['doc_id']), 'doc_id',
+                             connected_components(pairs)) \
+        .rename_columns({'component': 'cluster'})
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

@@ -6,15 +6,18 @@ clustering record linkage over a source-code-repos Parquet corpus
       ├─ local route: ONE Ray task on in-memory tables
       │    ingest (record_id, sha256)                      ─▶ ingest/
       │    └▶ local_match_pairs (stages/localjoin.py)      ─▶ matches/
-      │    └▶ connected_components_numpy + searchsorted
-      │       component attach                             ─▶ clusters/
+      │    └▶ connected_components_numpy + _attach
+      │       (stages/cluster.py)                          ─▶ clusters/
+      │    past SSJ_CC_TASK_GATE edges: hand ingest + matches (or their
+      │    checkpoint) to the Dataset route's clusters stage
       └─ Dataset route:
            ingest (map_batches: record_id, sha256)         ─▶ ingest/
            └▶ self-join (tokenize → ordering → prefix postings + salting
               → candgen / verify shuffles)                 ─▶ matches/
-           └▶ connected components: one task below SSJ_CC_TASK_GATE
-              edges, large-star/small-star rounds above; broadcast or
-              bucket-shuffle component attach              ─▶ clusters/
+           └▶ stages/cluster.py: connected_components (one task up to
+              SSJ_CC_TASK_GATE edges, large-star/small-star rounds
+              above) + attach_components (broadcast map or id-hash
+              bucket shuffle)                              ─▶ clusters/
 
 Singletons (records without a match) are their own component; the sha256
 column rides along from ingest to clusters.  Each stage writes Parquet
@@ -40,7 +43,9 @@ import ray
 import ray.data
 
 from ..core.tokenizers import WhitespaceTokenizer
-from ..stages.cluster import connected_components, connected_components_numpy
+from ..stages.cluster import (_attach, _cc_task_gate, attach_components,
+                              connected_components,
+                              connected_components_numpy)
 from ..state import manifests as mf
 from ..state.skewstats import summarize
 from .join import _JoinConfig, match_pairs_dataset
@@ -98,133 +103,8 @@ def _ingest_batch(batch: pa.Table) -> pa.Table:
                 .append_column('sha256', pa.array(shas, pa.string()))
 
 
-_KNUTH = np.uint64(2654435761)
 SLIM_COLS = ['record_id', 'repo', 'path', 'commit', 'sha256']
 STAGES = ('ingest', 'matches', 'clusters')
-
-
-def _component_of(ids: np.ndarray, nodes: np.ndarray,
-                  comps: np.ndarray) -> np.ndarray:
-    """Component of each id from a (node-sorted) component map; an id not
-    in the map (a singleton) is its own component."""
-    if not len(nodes):
-        return ids
-    pos = np.minimum(np.searchsorted(nodes, ids), len(nodes) - 1)
-    return np.where(nodes[pos] == ids, comps[pos], ids)
-
-
-def _attach(b: pa.Table, nodes: np.ndarray, comps: np.ndarray) -> pa.Table:
-    ids = b['record_id'].to_numpy().astype(np.int64)
-    return b.append_column('component', pa.array(
-        _component_of(ids, nodes, comps).astype(np.int64)))
-
-
-def _broadcast_attach(ingest_slim, comp_ref):
-    """Map over the ingest stream attaching components from the broadcast
-    (nodes, components) map behind ``comp_ref`` — no shuffle."""
-    def attach(b: pa.Table) -> pa.Table:
-        return _attach(b, *ray.get(comp_ref))
-    attach.__name__ = 'attach_components_broadcast'
-    return ingest_slim.map_batches(attach, batch_format='pyarrow')
-
-
-@ray.remote
-def _cc_arrays(*match_blocks):
-    """Remote connected-components build over match blocks: vectorized
-    min-label propagation; returns (nodes_sorted, component) numpy arrays —
-    the broadcast component map for the attach stage."""
-    def cols(b):
-        return b.columns if isinstance(b, pd.DataFrame) else b.column_names
-
-    def col(b, name):
-        v = b[name]
-        return (v.to_numpy() if isinstance(b, pd.DataFrame)
-                else v.to_numpy(zero_copy_only=False))
-
-    # blocks may be Arrow or pandas; empty verify groups can yield
-    # schemaless blocks — skip those
-    match_blocks = [b for b in match_blocks if 'l_id' in cols(b)]
-    us = [col(b, 'l_id').astype(np.int64) for b in match_blocks]
-    vs = [col(b, 'r_id').astype(np.int64) for b in match_blocks]
-    u = np.concatenate(us) if us else np.empty(0, np.int64)
-    v = np.concatenate(vs) if vs else np.empty(0, np.int64)
-    return connected_components_numpy(u, v)
-
-
-def _attach_components(ingest_slim, comp, num_buckets: int = 64,
-                       broadcast_gate: int = 20_000_000):
-    """ingest_slim (record_id, repo, path, commit, sha256) ⟕ comp
-    (node, component) on record_id; records without a component
-    (singletons) get component = record_id.
-
-    The component map is bounded by the number of MATCHED records, far
-    smaller than the corpus — below ``broadcast_gate`` rows it ships once
-    via ray.put and the attach is a single vectorized map over the ingest
-    stream (no shuffle); above the gate both sides co-locate via one
-    bucket-hash shuffle."""
-    comp = comp.materialize()
-    if comp.count() <= broadcast_gate:
-        nodes_parts, comp_parts = [], []
-        for b in comp.iter_batches(batch_format='pyarrow', batch_size=None):
-            t = pa.table(b)
-            nodes_parts.append(t['node'].to_numpy(zero_copy_only=False)
-                               .astype(np.int64))
-            comp_parts.append(t['component'].to_numpy(zero_copy_only=False)
-                              .astype(np.int64))
-        nodes = (np.concatenate(nodes_parts) if nodes_parts
-                 else np.empty(0, np.int64))
-        comps = (np.concatenate(comp_parts) if comp_parts
-                 else np.empty(0, np.int64))
-        order = np.argsort(nodes, kind='stable')
-        return _broadcast_attach(ingest_slim,
-                                 ray.put((nodes[order], comps[order])))
-    def tag_left(b: pa.Table) -> pa.Table:
-        ids = b['record_id'].to_numpy(zero_copy_only=False).astype(np.int64)
-        bk = ((ids.astype(np.uint64) * _KNUTH) >> np.uint64(7)) \
-            % np.uint64(num_buckets)
-        return pa.table({
-            'bucket': bk.astype(np.int64), 'side': np.zeros(len(ids), np.int8),
-            'record_id': ids, 'repo': b['repo'], 'path': b['path'],
-            'commit': b['commit'], 'sha256': b['sha256'],
-            'component': pa.nulls(len(ids), pa.int64())})
-
-    def tag_right(b: pa.Table) -> pa.Table:
-        ids = b['node'].to_numpy(zero_copy_only=False).astype(np.int64)
-        bk = ((ids.astype(np.uint64) * _KNUTH) >> np.uint64(7)) \
-            % np.uint64(num_buckets)
-        n = len(ids)
-        return pa.table({
-            'bucket': bk.astype(np.int64), 'side': np.ones(n, np.int8),
-            'record_id': ids, 'repo': pa.nulls(n, pa.string()),
-            'path': pa.nulls(n, pa.string()),
-            'commit': pa.nulls(n, pa.string()),
-            'sha256': pa.nulls(n, pa.string()),
-            'component': pa.compute.cast(b['component'], pa.int64())})
-
-    def merge(tbl: pa.Table) -> pa.Table:
-        side = tbl['side'].to_numpy(zero_copy_only=False)
-        lmask = side == 0
-        ids = tbl['record_id'].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        lid = ids[lmask]
-        rid = ids[~lmask]
-        # slice the side-1 rows at the ARROW level: the unioned column
-        # carries nulls on side-0 rows, and a whole-column to_numpy would
-        # convert to float64 — lossy for these 63-bit ids above 2^53
-        rcomp = tbl['component'].take(pa.array(np.flatnonzero(~lmask))) \
-            .combine_chunks().to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        order = np.argsort(rid, kind='stable')
-        vals = _component_of(lid, rid[order], rcomp[order])
-        sel = pa.array(np.flatnonzero(lmask))
-        out = tbl.select(SLIM_COLS).take(sel)
-        return out.append_column('component',
-                                 pa.array(vals.astype(np.int64)))
-    merge.__name__ = 'attach_components'
-
-    both = ingest_slim.map_batches(tag_left, batch_format='pyarrow').union(
-        comp.map_batches(tag_right, batch_format='pyarrow'))
-    return both.groupby('bucket').map_groups(merge, batch_format='pyarrow')
 
 
 def _poll_skew(summary, polls: int = 20, wait_s: float = 0.05) -> dict:
@@ -277,10 +157,6 @@ def _cast_pairs(batch: pa.Table) -> pa.Table:
         'l_id': pa.compute.cast(batch['l_key'], pa.int64()),
         'r_id': pa.compute.cast(batch['r_key'], pa.int64()),
         'score': pa.compute.cast(batch['_sim_score'], pa.float64())})
-
-
-def _cc_task_gate() -> int:
-    return int(os.environ.get('SSJ_CC_TASK_GATE', '32000000'))
 
 
 def _fingerprints(fp_in: str) -> dict:
@@ -347,7 +223,10 @@ def _local_linkage(files: list, checkpoint_dir, fp_in: str, cfg,
     (``clusters`` only without a checkpoint), or ``{'fallback': reason}``
     when the Dataset route must run: the fetched payload exceeds
     ``byte_cap`` (``'payload'``) or the match graph exceeds ``cc_gate``
-    edges (``'cc_gate'``, after ingest and matches are written)."""
+    edges (``'cc_gate'``, after ingest and matches are written).  Without
+    a checkpoint to resume, a ``'cc_gate'`` fallback also carries the slim
+    ``ingest`` table and the ``matches``, from which the Dataset route
+    starts its clusters stage."""
     from ..stages.localjoin import _empty_pairs, local_match_pairs
     fps = _fingerprints(fp_in)
     done = {s: mf.is_complete(checkpoint_dir, s, fps[s]) for s in STAGES}
@@ -402,11 +281,13 @@ def _local_linkage(files: list, checkpoint_dir, fp_in: str, cfg,
 
     # ---------------- stage 3: clusters ------------------------------
     if len(matches) > cc_gate:
-        return {'fallback': 'cc_gate'}
+        return {'fallback': 'cc_gate'} if checkpoint_dir else {
+            'fallback': 'cc_gate', 'ingest': ingest.select(SLIM_COLS),
+            'matches': matches}
     nodes, comps = connected_components_numpy(
         matches['l_id'].to_numpy().astype(np.int64),
         matches['r_id'].to_numpy().astype(np.int64))
-    clusters = _attach(ingest.select(SLIM_COLS), nodes, comps)
+    clusters = _attach(ingest.select(SLIM_COLS), 'record_id', nodes, comps)
     if checkpoint_dir:
         mf.write_table_stage(clusters, checkpoint_dir, 'clusters',
                              fps['clusters'], sha_col='sha256')
@@ -428,7 +309,6 @@ _LINKAGE_TASK = ray.remote(num_cpus=1)(_local_linkage)
 def record_linkage(repos_path: str, checkpoint_dir: str | None = None,
                    threshold: float = 0.7, tokenizer=None,
                    num_buckets: int = 4096, salt_df_threshold: int = 300,
-                   join_num_partitions: int = 16,
                    counter_name: str | None = None) -> dict:
     """Run the full pipeline; returns a result dict with the cluster Dataset
     (lazy), per-stage counters, and the sha256 invariant check.
@@ -450,14 +330,14 @@ def record_linkage(repos_path: str, checkpoint_dir: str | None = None,
     try:
         return _record_linkage_impl(
             repos_path, checkpoint_dir, threshold, tokenizer, num_buckets,
-            salt_df_threshold, join_num_partitions, counter_name)
+            salt_df_threshold, counter_name)
     finally:
         ctx.op_resource_reservation_enabled = prev_reserve
 
 
 def _record_linkage_impl(repos_path, checkpoint_dir, threshold, tokenizer,
                          num_buckets, salt_df_threshold,
-                         join_num_partitions, counter_name) -> dict:
+                         counter_name) -> dict:
     cfg = _JoinConfig('JACCARD', tokenizer or WhitespaceTokenizer(
                           return_set=True), threshold, '>=',
                       allow_empty=False, allow_missing=False,
@@ -472,6 +352,7 @@ def _record_linkage_impl(repos_path, checkpoint_dir, threshold, tokenizer,
     fps = _fingerprints(fp_in)
     if all(mf.is_complete(checkpoint_dir, s, fps[s]) for s in STAGES):
         return _full_resume(checkpoint_dir, counters)
+    handoff = None
     if counters['route'] == 'local':
         res = ray.get(_LINKAGE_TASK.remote(files, checkpoint_dir, fp_in, cfg,
                                            gate['byte_cap'], _cc_task_gate()))
@@ -487,11 +368,12 @@ def _record_linkage_impl(repos_path, checkpoint_dir, threshold, tokenizer,
                     'timings': res['timings']}
         counters['route'] = 'dataset'
         gate['fallback'] = res['fallback']
+        handoff = res if 'matches' in res else None
     # the join's own size probe would only repeat a decision made above
     cfg.skip_local_probe = gate.get('reason') == 'size' \
         or gate.get('fallback') == 'payload'
-    return _dataset_linkage(repos_path, checkpoint_dir, cfg, fps,
-                            join_num_partitions, counters)
+    return _dataset_linkage(repos_path, checkpoint_dir, cfg, fps, counters,
+                            handoff)
 
 
 def _full_resume(checkpoint_dir: str, counters: dict) -> dict:
@@ -509,11 +391,13 @@ def _full_resume(checkpoint_dir: str, counters: dict) -> dict:
             'timings': {'resume': round(time.perf_counter() - t0, 2)}}
 
 
-def _dataset_linkage(repos_path, checkpoint_dir, cfg, fps,
-                     join_num_partitions, counters) -> dict:
+def _dataset_linkage(repos_path, checkpoint_dir, cfg, fps, counters,
+                     handoff=None) -> dict:
     """The pipeline as Ray Data plans: partitioned stage artifacts, a
-    ``SkewStats`` actor for the join's task volumes, and the distributed
-    connected-components rounds past ``SSJ_CC_TASK_GATE``."""
+    ``SkewStats`` actor for the join's task volumes, and
+    ``connected_components`` + ``attach_components`` for the clusters.
+    ``handoff``, the local task's ``'cc_gate'`` fallback, supplies the
+    ingest and matches tables in place of their stages."""
     timings: dict = {}
     _t0 = time.time()
 
@@ -523,7 +407,9 @@ def _dataset_linkage(repos_path, checkpoint_dir, cfg, fps,
         _t0 = time.time()
 
     # ---------------- stage 1: ingest --------------------------------
-    if mf.is_complete(checkpoint_dir, 'ingest', fps['ingest']):
+    if handoff:
+        ingest = ray.data.from_arrow(handoff['ingest'])
+    elif mf.is_complete(checkpoint_dir, 'ingest', fps['ingest']):
         ingest = mf.read_stage(checkpoint_dir, 'ingest')
         counters['ingest_resumed'] = True
     else:
@@ -544,7 +430,9 @@ def _dataset_linkage(repos_path, checkpoint_dir, cfg, fps,
     _mark('ingest')
 
     # ---------------- stage 2: matches (self-join) -------------------
-    if mf.is_complete(checkpoint_dir, 'matches', fps['matches']):
+    if handoff:
+        matches = ray.data.from_arrow(handoff['matches'])
+    elif mf.is_complete(checkpoint_dir, 'matches', fps['matches']):
         matches = mf.read_stage(checkpoint_dir, 'matches')
         counters['matches_resumed'] = True
     else:
@@ -589,34 +477,9 @@ def _dataset_linkage(repos_path, checkpoint_dir, cfg, fps,
         clusters = mf.read_stage(checkpoint_dir, 'clusters')
         counters['clusters_resumed'] = True
     else:
-        ingest_slim = ingest.select_columns(SLIM_COLS)
-        if counters['num_matches'] <= _cc_task_gate():
-            # small-graph fast path: one Ray task runs vectorized min-label
-            # propagation over the match blocks and the component map ships
-            # as an object-store broadcast — no shuffle, nothing on the
-            # driver but refs.  Gate: 32M edges ≈ 0.8 GB of int64 arrays in
-            # ONE task (measured 0.77 s at 4.3M edges vs 4 s for the
-            # star-round shuffles); beyond it the large-star/small-star
-            # rounds take over.
-            refs = []
-            for bundle in matches.iter_internal_ref_bundles():
-                refs.extend(bundle.block_refs)
-            clusters = _broadcast_attach(ingest_slim,
-                                         _cc_arrays.remote(*refs))
-        else:
-            edges = matches.map_batches(
-                lambda b: pa.table({'u': b['l_id'], 'v': b['r_id']}),
-                batch_format='pyarrow')
-            comp = connected_components(edges)
-            # Attach component ids to the full ingest rows with ONE bucket
-            # shuffle: both sides hash record_id into a bucket, a groupby
-            # colocates them, and the per-bucket merge defaults absent
-            # records (singletons) to their own id.
-            clusters = _attach_components(
-                ingest_slim, comp,
-                num_buckets=max(64, join_num_partitions,
-                                int(ray.cluster_resources()
-                                    .get('CPU', 8)) * 4))
+        clusters = attach_components(ingest.select_columns(SLIM_COLS),
+                                     'record_id',
+                                     connected_components(matches))
         if checkpoint_dir:
             clusters = mf.write_stage(clusters, checkpoint_dir, 'clusters',
                                       fps['clusters'], sha_col='sha256')

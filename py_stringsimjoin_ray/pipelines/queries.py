@@ -500,15 +500,7 @@ def q_cluster_components_part(sf_dir):
     pairs = join.jaccard_join(part, part, 'p_partkey', 'p_partkey', 'p_name',
                               'p_name', _ws(), 0.5, out_sim_score=False,
                               output='dataset')
-    import pyarrow as pa
-
-    def to_edges(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        u = pc.cast(batch['l_key'], pa.int64())
-        v = pc.cast(batch['r_key'], pa.int64())
-        return pa.table({'u': u, 'v': v})
-    edges = pairs.map_batches(to_edges, batch_format='pyarrow')
-    out = cluster.connected_components(edges).to_pandas()
+    out = cluster.connected_components(pairs).to_pandas()
     return _keys_int(out, ['node', 'component'])
 
 

@@ -1197,73 +1197,25 @@ def near_dedup(ds: ray.data.Dataset, id_col: str, text_col: str,
     dedup flow composed from this module's scale paths:
 
         minhash_lsh_pairs (banded LSH + exact-Jaccard verify)
-        → connected_components (bucketed star rounds / task kernel)
-        → representative pick (component = min id by construction)
+        → cluster.connected_components (one task / star rounds)
+        → cluster.attach_components (component = min id by construction)
 
     Returns Dataset ``(id_col, rep_id, keep)`` covering EVERY input row:
     ``rep_id`` is the minimum id of the row's near-duplicate cluster
     (itself when unique) and ``keep`` (int64 0/1) marks cluster
-    representatives — ``filter(keep == 1)`` is the deduplicated corpus.
-    The component map attaches to the corpus with one id-hash bucket
-    shuffle (no driver materialization, absent ids default to
-    themselves)."""
+    representatives — ``filter(keep == 1)`` is the deduplicated corpus."""
     _require_int_ids(ds, id_col, 'near_dedup')
-    from .cluster import connected_components
+    from .cluster import attach_components, connected_components
     pairs = minhash_lsh_pairs(ds, id_col, text_col, threshold=threshold,
                               k=k, num_perm=num_perm, bands=bands,
                               seed=seed, checkpoint_dir=checkpoint_dir)
+    comp = connected_components(pairs)
 
-    def to_edges(b: pa.Table) -> pa.Table:
-        return pa.table({'u': pa.compute.cast(b['l_id'], pa.int64()),
-                         'v': pa.compute.cast(b['r_id'], pa.int64())})
-    to_edges.__name__ = 'neardedup_edges'
-    comp = connected_components(pairs.map_batches(to_edges,
-                                                  batch_format='pyarrow'))
-
-    nb = 64
-    ids_ds = ds.select_columns([id_col])
-
-    def tag_ids(b: pa.Table) -> pa.Table:
-        ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        bk = ((ids.astype(np.uint64) * np.uint64(2654435761)) >> np.uint64(7)) \
-            % np.uint64(nb)
-        n = len(ids)
-        return pa.table({'bucket': pa.array(bk.astype(np.int64)),
-                         'side': pa.array(np.zeros(n, np.int8)),
-                         'id': pa.array(ids),
-                         'component': pa.array(np.zeros(n, np.int64))})
-    tag_ids.__name__ = 'neardedup_tag_ids'
-
-    def tag_comp(b: pa.Table) -> pa.Table:
-        ids = b['node'].to_numpy(zero_copy_only=False).astype(np.int64)
-        bk = ((ids.astype(np.uint64) * np.uint64(2654435761)) >> np.uint64(7)) \
-            % np.uint64(nb)
-        n = len(ids)
-        return pa.table({'bucket': pa.array(bk.astype(np.int64)),
-                         'side': pa.array(np.ones(n, np.int8)),
-                         'id': pa.array(ids),
-                         'component': pa.compute.cast(b['component'],
-                                                      pa.int64())})
-    tag_comp.__name__ = 'neardedup_tag_comp'
-
-    def merge(tbl: pa.Table) -> pa.Table:
-        side = tbl['side'].to_numpy(zero_copy_only=False)
-        ids = tbl['id'].to_numpy(zero_copy_only=False).astype(np.int64)
-        comp_ = tbl['component'].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        lid = ids[side == 0]
-        rid, rcomp = ids[side == 1], comp_[side == 1]
-        if len(rid):
-            order = np.argsort(rid, kind='stable')
-            rid, rcomp = rid[order], rcomp[order]
-            pos = np.minimum(np.searchsorted(rid, lid), len(rid) - 1)
-            rep = np.where(rid[pos] == lid, rcomp[pos], lid)
-        else:
-            rep = lid
-        return pa.table({id_col: pa.array(lid), 'rep_id': pa.array(rep),
-                         'keep': pa.array((lid == rep).astype(np.int64))})
-    merge.__name__ = 'neardedup_attach'
-
-    both = ids_ds.map_batches(tag_ids, batch_format='pyarrow').union(
-        comp.map_batches(tag_comp, batch_format='pyarrow'))
-    return both.groupby('bucket').map_groups(merge, batch_format='pyarrow')
+    def rep_keep(b: pa.Table) -> pa.Table:
+        ids = pa.compute.cast(b[id_col], pa.int64())
+        rep = b['component']
+        return pa.table({id_col: ids, 'rep_id': rep, 'keep': pa.compute.cast(
+            pa.compute.equal(ids, rep), pa.int64())})
+    rep_keep.__name__ = 'neardedup_rep_keep'
+    return attach_components(ds.select_columns([id_col]), id_col, comp) \
+        .map_batches(rep_keep, batch_format='pyarrow')

@@ -10,39 +10,142 @@ from py_stringsimjoin_ray.stages import ann, cluster, dedup, media
 
 
 class TestConnectedComponents:
-    def assert_cc(self, edges, expected):
-        eds = ray.data.from_arrow(pa.table({
+    @staticmethod
+    def edge_ds(edges):
+        return ray.data.from_arrow(pa.table({
             'u': pa.array([e[0] for e in edges], pa.int64()),
             'v': pa.array([e[1] for e in edges], pa.int64())}))
-        # distributed star-rounds path (driver_threshold=0 forces it)
-        got = cluster.connected_components(eds, driver_threshold=0).to_pandas()
-        got_map = dict(zip(got['node'], got['component']))
-        assert got_map == expected
-        # auto path (driver union-find short-circuit)
-        got2 = cluster.connected_components(eds).to_pandas()
-        assert dict(zip(got2['node'], got2['component'])) == expected
-        # driver fallback agrees
-        pdf = pd.DataFrame({'u': [e[0] for e in edges],
-                            'v': [e[1] for e in edges]})
-        fal = cluster.connected_components_pandas(pdf)
-        assert dict(zip(fal['node'], fal['component'])) == expected
 
-    def test_two_components(self):
-        self.assert_cc([(1, 2), (2, 3), (10, 11)],
+    def assert_cc(self, monkeypatch, edges, expected):
+        nodes, comps = cluster.connected_components_numpy(
+            np.array([e[0] for e in edges], np.int64),
+            np.array([e[1] for e in edges], np.int64))
+        oracle = dict(zip(nodes.tolist(), comps.tolist()))
+        assert oracle == expected
+        eds = self.edge_ds(edges)
+        # one task below the gate, the star rounds above it
+        for gate in (None, '0'):
+            with monkeypatch.context() as m:
+                if gate is not None:
+                    m.setenv('SSJ_CC_TASK_GATE', gate)
+                got = cluster.connected_components(eds).to_pandas()
+            assert dict(zip(got['node'], got['component'])) == oracle
+
+    def test_two_components(self, monkeypatch):
+        self.assert_cc(monkeypatch, [(1, 2), (2, 3), (10, 11)],
                        {1: 1, 2: 1, 3: 1, 10: 10, 11: 10})
 
-    def test_chain(self):
+    def test_chain(self, monkeypatch):
         n = 30
         edges = [(i, i + 1) for i in range(n)]
-        self.assert_cc(edges, {i: 0 for i in range(n + 1)})
+        self.assert_cc(monkeypatch, edges, {i: 0 for i in range(n + 1)})
 
-    def test_self_loops_and_dups(self):
-        self.assert_cc([(5, 5), (1, 2), (2, 1), (2, 3)],
+    def test_self_loops_and_dups(self, monkeypatch):
+        self.assert_cc(monkeypatch, [(5, 5), (1, 2), (2, 1), (2, 3)],
                        {1: 1, 2: 1, 3: 1})
 
-    def test_star_and_singleton_merge(self):
+    def test_star_and_singleton_merge(self, monkeypatch):
         edges = [(7, 1), (7, 2), (7, 3), (2, 9)]
-        self.assert_cc(edges, {1: 1, 2: 1, 3: 1, 7: 1, 9: 1})
+        self.assert_cc(monkeypatch, edges, {1: 1, 2: 1, 3: 1, 7: 1, 9: 1})
+
+    def test_max_rounds_without_fixpoint_raises(self, monkeypatch):
+        monkeypatch.setenv('SSJ_CC_TASK_GATE', '0')
+        eds = self.edge_ds([(i, i + 1) for i in range(30)])
+        with pytest.raises(RuntimeError, match='no fixpoint after 1'):
+            cluster.connected_components(eds, max_rounds=1)
+
+    def test_task_path_pulls_nothing_to_the_driver(self, monkeypatch):
+        eds = self.edge_ds([(1, 2), (2, 3), (10, 11)])
+        ids = ray.data.from_arrow(pa.table({
+            'id': pa.array([1, 2, 3, 10, 11, 12], pa.int64())}))
+
+        def refuse(*a, **k):
+            raise AssertionError('rows pulled to the driver')
+        with monkeypatch.context() as m:
+            for meth in ('to_pandas', 'iter_batches'):
+                m.setattr(ray.data.Dataset, meth, refuse)
+            comp = cluster.connected_components(eds)
+            out = cluster.attach_components(ids, 'id', comp).materialize()
+        got = out.to_pandas()
+        assert dict(zip(got['id'], got['component'])) \
+            == {1: 1, 2: 1, 3: 1, 10: 10, 11: 10, 12: 12}
+
+
+def _planted_docs():
+    """20 planted near-duplicate pairs (2i, 2i+1) and 15 unique docs, with
+    the ``near_dedup`` frame they must give."""
+    words = [f'tok{i}' for i in range(40)]
+    rng = np.random.default_rng(9)
+    base = [' '.join(rng.choice(words, 30)) for _ in range(20)]
+    texts, ids = [], []
+    nid = 0
+    for t in base:
+        for variant in (t, t + ' extra_tail_token'):
+            texts.append(variant)
+            ids.append(nid)
+            nid += 1
+    for _ in range(15):  # uniques
+        texts.append(' '.join(rng.choice(words[:20], 8)) + f' uniq{nid}')
+        ids.append(nid)
+        nid += 1
+    docs = ray.data.from_arrow(pa.table({
+        'doc_id': pa.array(np.asarray(ids, np.int64)),
+        'text': pa.array(texts)}))
+    ids = np.asarray(ids, np.int64)
+    rep = np.where(ids < 40, ids - ids % 2, ids)
+    want = pd.DataFrame({'doc_id': ids, 'rep_id': rep,
+                         'keep': (ids == rep).astype(np.int64)})
+    return docs, want
+
+
+@pytest.mark.parametrize('regime', ['broadcast', 'shuffle'])
+def test_attach_components_both_regimes(regime, monkeypatch):
+    if regime == 'shuffle':
+        monkeypatch.setattr(cluster, '_ATTACH_BROADCAST_ROWS', 0)
+
+    # 63-bit ids: the shuffle's null-padded component column must not
+    # round them through float64
+    big = (1 << 60) + 1  # survives int64, NOT float64
+    ingest = ray.data.from_arrow(pa.table({
+        'record_id': pa.array([big, big + 2, 7], pa.int64()),
+        'repo': ['r'] * 3, 'path': ['p'] * 3, 'commit': ['c'] * 3,
+        'sha256': ['s'] * 3}))
+    comp = ray.data.from_arrow(pa.table({
+        'node': pa.array([big, big + 2], pa.int64()),
+        'component': pa.array([big, big], pa.int64())}))
+    out = cluster.attach_components(ingest, 'record_id', comp).to_pandas()
+    assert list(out.columns) == ['record_id', 'repo', 'path', 'commit',
+                                 'sha256', 'component']
+    assert dict(zip(out['record_id'], out['component'])) \
+        == {big: big, big + 2: big, 7: 7}  # a singleton is its own
+
+    # near_dedup: the planted frame, one row per doc
+    docs, want = _planted_docs()
+    got = dedup.near_dedup(docs, 'doc_id', 'text', threshold=0.6,
+                           k=3).to_pandas()
+    pd.testing.assert_frame_equal(
+        got.sort_values('doc_id').reset_index(drop=True), want)
+
+    # the flagship entry: one row per document, cluster = the minimum of
+    # the doc's own id and its component (a union + per-doc min)
+    import __ray_entry__
+    from py_stringsimjoin_ray.core.tokenizers import WordQgramTokenizer
+    from py_stringsimjoin_ray.pipelines.join import jaccard_join
+    got = __ray_entry__.entry().to_pandas()
+    docs = pd.read_parquet(f'{__ray_entry__.SF0001}/documents.parquet')
+    pairs = jaccard_join(docs, docs, 'doc_id', 'doc_id', 'text', 'text',
+                         WordQgramTokenizer(kval=5, return_set=True), 0.6)
+    nodes, comps = cluster.connected_components_numpy(
+        pairs['l_doc_id'].to_numpy(np.int64),
+        pairs['r_doc_id'].to_numpy(np.int64))
+    want = pd.concat([
+        pd.DataFrame({'doc_id': docs['doc_id'], 'cluster': docs['doc_id']}),
+        pd.DataFrame({'doc_id': nodes, 'cluster': comps})]) \
+        .groupby('doc_id')['cluster'].min()
+    assert got['doc_id'].is_unique and len(got) == len(docs)
+    assert got.set_index('doc_id')['cluster'].sort_index().to_dict() \
+        == want.to_dict()
+    assert (want.to_numpy() != want.index.to_numpy()).any()  # some merge
 
 
 @pytest.fixture(scope='module')
@@ -616,26 +719,10 @@ class TestDistributedTopkMerge:
 def test_near_dedup_planted_clusters():
     """near_dedup keeps exactly one representative (min id) per planted
     near-duplicate cluster and every unique doc."""
-    words = [f'tok{i}' for i in range(40)]
-    rng = np.random.default_rng(9)
-    base = [' '.join(rng.choice(words, 30)) for _ in range(20)]
-    texts, ids = [], []
-    nid = 0
-    for t in base:
-        for variant in (t, t + ' extra_tail_token'):
-            texts.append(variant)
-            ids.append(nid)
-            nid += 1
-    for _ in range(15):  # uniques
-        texts.append(' '.join(rng.choice(words[:20], 8)) + f' uniq{nid}')
-        ids.append(nid)
-        nid += 1
-    docs = ray.data.from_arrow(pa.table({
-        'doc_id': pa.array(np.asarray(ids, np.int64)),
-        'text': pa.array(texts)}))
+    docs, want = _planted_docs()
     out = dedup.near_dedup(docs, 'doc_id', 'text', threshold=0.6,
                            k=3).to_pandas()
-    assert len(out) == len(ids)
+    assert len(out) == len(want)
     # planted pairs (2i, 2i+1) collapse to rep 2i
     for i in range(20):
         row = out[out['doc_id'] == 2 * i + 1].iloc[0]

@@ -216,30 +216,6 @@ def test_ingest_hashing_pinned():
         assert out['sha256'][i].as_py() == exp_sha
 
 
-def test_bucketed_attach_preserves_63bit_component_ids(ray_session):
-    """Regression: the bucketed (beyond-gate) component attach must not
-    round 63-bit ids through float64 (the unioned column carries nulls on
-    the ingest side; a whole-column to_numpy converts to float64 and
-    corrupts ids above 2^53)."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from py_stringsimjoin_ray.pipelines.linkage import _attach_components
-    big = (1 << 60) + 1  # survives int64, NOT float64
-    ingest = ray.data.from_arrow(pa.table({
-        'record_id': pa.array([big, big + 2, 7], pa.int64()),
-        'repo': ['r'] * 3, 'path': ['p'] * 3, 'commit': ['c'] * 3,
-        'sha256': ['s'] * 3}))
-    comp = ray.data.from_arrow(pa.table({
-        'node': pa.array([big, big + 2], pa.int64()),
-        'component': pa.array([big, big], pa.int64())}))
-    out = _attach_components(ingest, comp, broadcast_gate=0).to_pandas()
-    got = dict(zip(out['record_id'], out['component']))
-    assert got[big] == big and got[big + 2] == big
-    assert got[7] == 7  # singleton defaults to itself
-
-
 def test_skew_counters_in_matches_manifest(corpus, tmp_path, monkeypatch):
     """VERDICT r4 #7: the matches-stage manifest carries per-task
     candgen/verify volume roll-ups (tasks / total / max / skew ratio) so a

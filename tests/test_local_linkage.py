@@ -15,7 +15,7 @@ import ray.data
 from py_stringsimjoin_ray.pipelines import linkage
 from py_stringsimjoin_ray.pipelines.linkage import record_linkage
 from py_stringsimjoin_ray.sources.repos_corpus import generate_repos_corpus
-from py_stringsimjoin_ray.stages import localjoin
+from py_stringsimjoin_ray.stages import cluster, localjoin
 from py_stringsimjoin_ray.state import manifests as mf
 from py_stringsimjoin_ray.state import skewstats
 
@@ -147,7 +147,7 @@ def test_full_resume_launches_nothing(corpus, tmp_path, monkeypatch):
         raise AssertionError('a full resume ran work')
     with monkeypatch.context() as m:
         m.setattr(linkage._LINKAGE_TASK, 'remote', refuse)
-        m.setattr(linkage._cc_arrays, 'remote', refuse)
+        m.setattr(cluster._cc_task, 'remote', refuse)
         for meth in ('materialize', 'write_parquet', 'iter_batches',
                      'count'):
             m.setattr(ray.data.Dataset, meth, refuse)
@@ -211,21 +211,27 @@ def test_dataset_route_when_gate_rejects(corpus, monkeypatch, env):
 def test_cc_gate_falls_back_to_star_rounds(corpus, tmp_path, monkeypatch,
                                            checkpointed):
     """SSJ_CC_TASK_GATE=0: the local task stops before the clusters stage
-    and the Dataset route's large/small-star rounds build them, resuming
-    the ingest and matches stages the task wrote."""
+    and the Dataset route's large/small-star rounds build them, starting
+    from the ingest and matches the task made: handed over in memory, or
+    resumed from the stages the task wrote.  The corpus is joined once."""
     base = _frame(record_linkage(corpus))
-    rounds = []
-    real = linkage.connected_components
+    rounds, joins = [], []
 
-    def spy(*a, **k):
-        rounds.append(1)
-        return real(*a, **k)
-    monkeypatch.setattr(linkage, 'connected_components', spy)
+    def spy(calls, real):
+        def f(*a, **k):
+            calls.append(1)
+            return real(*a, **k)
+        return f
+    monkeypatch.setattr(linkage, 'connected_components',
+                        spy(rounds, linkage.connected_components))
+    monkeypatch.setattr(linkage, 'match_pairs_dataset',
+                        spy(joins, linkage.match_pairs_dataset))
     monkeypatch.setenv('SSJ_CC_TASK_GATE', '0')
     ckpt = str(tmp_path / 'ckpt') if checkpointed else None
     res = record_linkage(corpus, checkpoint_dir=ckpt)
     c = res['counters']
     assert rounds == [1]
+    assert joins == []
     assert c['route'] == 'dataset'
     assert c['route_gate']['fallback'] == 'cc_gate'
     assert bool(c.get('ingest_resumed')) == checkpointed
@@ -269,7 +275,7 @@ def test_component_of_defaults_to_own_id():
     nodes = np.array([2, 5, 9], np.int64)
     comps = np.array([2, 2, 9], np.int64)
     ids = np.array([1, 2, 5, 7, 9, 12], np.int64)
-    assert linkage._component_of(ids, nodes, comps).tolist() \
+    assert cluster._component_of(ids, nodes, comps).tolist() \
         == [1, 2, 2, 7, 9, 12]
-    assert linkage._component_of(ids, nodes[:0], comps[:0]).tolist() \
+    assert cluster._component_of(ids, nodes[:0], comps[:0]).tolist() \
         == ids.tolist()
