@@ -63,23 +63,13 @@ def _dataset_profile(ds, attrs):
     materializes small inputs once and profiles them in-process (the
     groupby shuffles' fixed overhead dominates at small scale); inputs
     over the cap take the distributed pipelines, where no distinct VALUE
-    ever reaches the driver.  The cap deliberately does NOT honor the
-    join path's SSJ_LOCAL_JOIN=force override — that knob pins join-path
-    parity in tests and must not make profiling materialize an unbounded
-    Dataset on the driver."""
+    ever reaches the driver."""
     if not attrs:
         return {}
-    import os
-    from ..stages.localjoin import (DEFAULT_LOCAL_MAX_BYTES,
-                                    DEFAULT_LOCAL_MAX_ROWS, _fetch_local)
-    # deliberately NOT _local_row_cap()/_local_byte_cap(): those honor the
-    # SSJ_LOCAL_JOIN=force override, which pins JOIN-path parity in tests
-    # and must not make profiling materialize an unbounded Dataset on the
-    # driver (see the docstring above)
-    cap = int(os.environ.get('SSJ_LOCAL_MAX_ROWS', DEFAULT_LOCAL_MAX_ROWS))
-    byte_cap = int(os.environ.get('SSJ_LOCAL_MAX_BYTES',
-                                  DEFAULT_LOCAL_MAX_BYTES))
-    local = _fetch_local(ds, list(attrs), cap, byte_cap)
+    from ..stages import localjoin
+    local = localjoin._fetch_local(ds, list(attrs),
+                                   localjoin.DEFAULT_LOCAL_MAX_ROWS,
+                                   localjoin._local_byte_cap())
     if local is not None:
         pdf = local.to_pandas()
         return {a: (len(pdf), len(pdf[a].unique()),

@@ -14,8 +14,6 @@ recursive bound are pure Python.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -28,6 +26,7 @@ from ..core import validation as V
 from ..core.comp_ops import COMP_OP_MAP
 from ..core.measures import overlap as set_overlap
 from ..core.ordering import apply_ordering, build_ordering_for_lists
+from ..state.broadcast import broadcast_gate_bytes
 from .join import (_JoinConfig, _assemble_pandas, _remove_redundant_attrs,
                    _to_dataset, match_pairs_dataset,
                    DEFAULT_NUM_BUCKETS, DEFAULT_SALT_DF_THRESHOLD)
@@ -454,7 +453,7 @@ class SizeFilter(Filter):
         empties = {}
         if handle_empty:
             # lazy key Datasets: the pandas assembler collects them behind
-            # the SSJ_EMPTY_KEYS_GATE count gate, dataset mode crosses them
+            # the join._EMPTY_KEYS_GATE count gate, dataset mode crosses them
             # distributed
             def _ekeys(b: pa.Table) -> pa.Table:
                 return pa.table({'key': b['key'].filter(
@@ -960,12 +959,7 @@ class SuffixFilter(Filter):
         # (filter/suffix_filter.py:460-476) and ships the WHOLE prepared L
         # to every task — beyond the object-store gate that is an OOM, not
         # a slowdown, so fail fast with the scalable composition instead.
-        _gate_env = os.environ.get('SSJ_SUFFIX_GATE_BYTES')
-        if _gate_env:
-            _gate = int(_gate_env)
-        else:
-            from ..state.broadcast import broadcast_gate_bytes
-            _gate = broadcast_gate_bytes()
+        _gate = broadcast_gate_bytes()
         if (ranked_l.size_bytes() or 0) > _gate:
             raise ValueError(
                 'SuffixFilter.filter_tables: the prepared left table '

@@ -46,6 +46,19 @@ DEFAULT_NUM_BUCKETS = 4096
 # threshold than the old 20000 — measured 1.5-3x wall-time wins on qgram
 # joins at sf0.1 with no regression on word corpora.
 DEFAULT_SALT_DF_THRESHOLD = 300
+# EDIT_DISTANCE joins merge the vocabulary partials on the driver up to
+# this many partial rows ((blocks x vocab)-sized); past it the ordering is
+# built with distributed shuffles and the driver never sees the partials
+_ORDERING_PARTIAL_GATE = 30_000_000
+# test hook: set-measure joins build the ordering the same distributed way
+# (no gate picks that route)
+_DISTRIBUTED_ORDERING = False
+# allow_empty key sets the pandas assembler collects on the driver;
+# past it, output='dataset' attaches the empty cross product distributed
+_EMPTY_KEYS_GATE = 5_000_000
+# rows per broadcast chunk of the smaller side of an empty / missing cross
+# product (the driver holds one chunk at a time)
+_CROSS_CHUNK_ROWS = 200_000
 
 
 def _to_dataset(table) -> ray.data.Dataset:
@@ -121,12 +134,12 @@ def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
     # fan-out for big candidate sets), skipping the Dataset stage barriers
     # that dominate small-input latency.  The probe-and-fetch is bounded
     # (limit(cap+1)), so huge inputs pay O(cap) rows to be routed to the
-    # distributed pipeline below.
-    from ..stages.localjoin import local_join_eligible, local_match_pairs
-    if local_join_eligible(l_ds, r_ds, cfg, same_relation):
-        res = local_match_pairs(l_ds, r_ds, l_key_attr, r_key_attr,
-                                l_join_attr, r_join_attr, cfg,
-                                same_relation)
+    # distributed pipeline below; a row cap of 0 skips the probe.
+    from ..stages import localjoin
+    if not cfg.skip_local_probe and localjoin.DEFAULT_LOCAL_MAX_ROWS > 0:
+        res = localjoin.local_match_pairs(l_ds, r_ds, l_key_attr, r_key_attr,
+                                          l_join_attr, r_join_attr, cfg,
+                                          same_relation)
         if res is not None:
             return res
 
@@ -153,9 +166,7 @@ def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
     else:
         tok_r = _tokenized(r_ds, r_key_attr, r_join_attr)
 
-    import os as _os
-    if cfg.mode == 'join' \
-            and _os.environ.get('SSJ_DISTRIBUTED_ORDERING') == '1':
+    if cfg.mode == 'join' and _DISTRIBUTED_ORDERING:
         # beyond-driver-vocabulary path (VERDICT r1 #4): ordering built and
         # applied entirely with distributed shuffles; the driver never holds
         # the vocabulary (only the tiny heavy-token list for salting)
@@ -167,12 +178,11 @@ def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
         # volume gate for the driver-merged vocabulary (VERDICT r4 #5): the
         # ED path's partial merge is (blocks × vocab)-sized; beyond the gate
         # the driver never sees the partials — auto-route to the fully
-        # distributed ordering instead of requiring the env escape hatch
+        # distributed ordering
         from ..stages.tokenize import token_partials
-        gate = int(_os.environ.get('SSJ_ORDERING_PARTIAL_GATE', 30_000_000))
         partial_ds = token_partials(tok_l if same_relation
                                     else tok_l.union(tok_r))
-        if partial_ds.count() > gate:
+        if partial_ds.count() > _ORDERING_PARTIAL_GATE:
             pairs = _dist_ordering_pairs(cfg, tok_l, tok_r, same_relation)
             return pairs, _empty_key_sets(cfg, tok_l, tok_r)
 
@@ -318,17 +328,15 @@ def _empties_to_lists(empties):
     """Driver-side key lists from an empties dict whose values may be lists
     (local fast path) or key Datasets.  Dataset collects are gated: a corpus
     whose join attr is mostly empty would otherwise OOM the driver."""
-    import os
-    gate = int(os.environ.get('SSJ_EMPTY_KEYS_GATE', 5_000_000))
     out = {}
     for name, v in empties.items():
         if isinstance(v, ray.data.Dataset):
             v = v.materialize()
             n = v.count()
-            if n > gate:
+            if n > _EMPTY_KEYS_GATE:
                 raise MemoryError(
                     f'allow_empty key set has {n} rows, beyond the driver '
-                    f'collect gate ({gate}; env SSJ_EMPTY_KEYS_GATE). Use '
+                    f'collect gate ({_EMPTY_KEYS_GATE} rows). Use '
                     f"output='dataset' — the empty cross product attaches "
                     f'distributed there.')
             out[name] = [r['key'] for r in v.take_all()]
@@ -350,7 +358,6 @@ def _cross_pairs_dataset(l_keys, r_keys, score):
     ``ray.put`` per chunk, driver holds one chunk at a time) while the
     larger side streams through ``map_batches``.  Returns None when either
     side is empty."""
-    import os
     l_keys = _keys_dataset(l_keys).materialize()
     r_keys = _keys_dataset(r_keys).materialize()
     nl, nr = l_keys.count(), r_keys.count()
@@ -358,7 +365,6 @@ def _cross_pairs_dataset(l_keys, r_keys, score):
         return None
     small_is_l = nl <= nr
     small, big = (l_keys, r_keys) if small_is_l else (r_keys, l_keys)
-    chunk = int(os.environ.get('SSJ_CROSS_CHUNK_ROWS', 200_000))
     # broadcast ALL small-side chunk refs once and emit the cross product
     # in a SINGLE pass over the big side (ADVICE r3: one full big-side
     # scan per chunk + a deep union chain scaled with the small side);
@@ -366,7 +372,7 @@ def _cross_pairs_dataset(l_keys, r_keys, score):
     # per-chunk generator output keeps each emitted block bounded
     refs = [ray.put(sb['key'].to_numpy(zero_copy_only=False))
             for sb in small.iter_batches(batch_format='pyarrow',
-                                         batch_size=chunk)]
+                                         batch_size=_CROSS_CHUNK_ROWS)]
 
     def cross(b: pa.Table):
         bk = b['key'].to_numpy(zero_copy_only=False)

@@ -2,20 +2,20 @@
 clustering record linkage over a source-code-repos Parquet corpus
 (BASELINE.json north_rule), resumable via per-stage lineage manifests.
 
-    repos.parquet ─ footer gate: rows, content bytes vs SSJ_LOCAL_* caps
+    repos.parquet ─ footer gate: rows, content bytes vs the local caps
       ├─ local route: ONE Ray task on in-memory tables
       │    ingest (record_id, sha256)                      ─▶ ingest/
       │    └▶ local_match_pairs (stages/localjoin.py)      ─▶ matches/
       │    └▶ connected_components_numpy + _attach
       │       (stages/cluster.py)                          ─▶ clusters/
-      │    past SSJ_CC_TASK_GATE edges: hand ingest + matches (or their
+      │    past _CC_TASK_GATE edges: hand ingest + matches (or their
       │    checkpoint) to the Dataset route's clusters stage
       └─ Dataset route:
            ingest (map_batches: record_id, sha256)         ─▶ ingest/
            └▶ self-join (tokenize → ordering → prefix postings + salting
               → candgen / verify shuffles)                 ─▶ matches/
            └▶ stages/cluster.py: connected_components (one task up to
-              SSJ_CC_TASK_GATE edges, large-star/small-star rounds
+              _CC_TASK_GATE edges, large-star/small-star rounds
               above) + attach_components (broadcast map or id-hash
               bucket shuffle)                              ─▶ clusters/
 
@@ -43,7 +43,8 @@ import ray
 import ray.data
 
 from ..core.tokenizers import WhitespaceTokenizer
-from ..stages.cluster import (_attach, _cc_task_gate, attach_components,
+from ..stages import cluster
+from ..stages.cluster import (_attach, attach_components,
                               connected_components,
                               connected_components_numpy)
 from ..state import manifests as mf
@@ -183,17 +184,13 @@ def _input_files(repos_path: str) -> list | None:
     return mf.parquet_files(repos_path) or None
 
 
-def _route_gate(repos_path: str, cfg) -> dict:
+def _route_gate(repos_path: str, gates: dict) -> dict:
     """Local-or-Dataset decision from Parquet footers alone: total rows
-    against ``SSJ_LOCAL_MAX_ROWS`` and the ``content`` column's
-    uncompressed size, never above the Arrow bytes ``_fetch_local``
-    measures, against ``SSJ_LOCAL_MAX_BYTES``.  Returns the gate inputs,
-    ``route`` and, for the Dataset route, the ``reason``."""
-    from ..stages.localjoin import (_local_byte_cap, _local_row_cap,
-                                    local_join_eligible)
-    gate = {'row_cap': _local_row_cap(), 'byte_cap': _local_byte_cap()}
-    if not local_join_eligible(None, None, cfg, True):
-        return dict(gate, route='dataset', reason='flags')
+    against ``gates['row_cap']`` and the ``content`` column's uncompressed
+    size, never above the Arrow bytes ``_fetch_local`` measures, against
+    ``gates['byte_cap']`` (``localjoin._gates()``).  Returns the gate
+    inputs, ``route`` and, for the Dataset route, the ``reason``."""
+    gate = {'row_cap': gates['row_cap'], 'byte_cap': gates['byte_cap']}
     files = _input_files(repos_path)
     if files is None:
         return dict(gate, route='dataset', reason='layout')
@@ -213,7 +210,7 @@ def _route_gate(repos_path: str, cfg) -> dict:
 
 
 def _local_linkage(files: list, checkpoint_dir, fp_in: str, cfg,
-                   byte_cap: int, cc_gate: int) -> dict:
+                   gates: dict, cc_gate: int) -> dict:
     """The whole pipeline on in-memory tables; runs as ONE Ray task
     (``_LINKAGE_TASK``).  Same stage kernels, artifacts and manifest fields
     as the Dataset route, with no Dataset plan, read-back or skew actor:
@@ -222,11 +219,13 @@ def _local_linkage(files: list, checkpoint_dir, fp_in: str, cfg,
     ``pq.read_table``.  Returns ``{'counters', 'timings', 'clusters'}``
     (``clusters`` only without a checkpoint), or ``{'fallback': reason}``
     when the Dataset route must run: the fetched payload exceeds
-    ``byte_cap`` (``'payload'``) or the match graph exceeds ``cc_gate``
-    edges (``'cc_gate'``, after ingest and matches are written).  Without
-    a checkpoint to resume, a ``'cc_gate'`` fallback also carries the slim
-    ``ingest`` table and the ``matches``, from which the Dataset route
-    starts its clusters stage."""
+    ``gates['byte_cap']`` (``'payload'``) or the match graph exceeds
+    ``cc_gate`` edges (``'cc_gate'``, after ingest and matches are
+    written).  Without a checkpoint to resume, a ``'cc_gate'`` fallback
+    also carries the slim ``ingest`` table and the ``matches``, from which
+    the Dataset route starts its clusters stage.  ``gates`` and
+    ``cc_gate`` are read in the driver (``localjoin._gates()``,
+    ``cluster._CC_TASK_GATE``)."""
     from ..stages.localjoin import _empty_pairs, local_match_pairs
     fps = _fingerprints(fp_in)
     done = {s: mf.is_complete(checkpoint_dir, s, fps[s]) for s in STAGES}
@@ -247,7 +246,8 @@ def _local_linkage(files: list, checkpoint_dir, fp_in: str, cfg,
     else:
         ingest = pq.read_table(files)
     if not done['matches'] \
-            and ingest['content'].nbytes + 8 * len(ingest) > byte_cap:
+            and ingest['content'].nbytes + 8 * len(ingest) \
+            > gates['byte_cap']:
         return {'fallback': 'payload'}
     if not done['ingest']:
         ingest = _ingest_batch(ingest)
@@ -263,7 +263,7 @@ def _local_linkage(files: list, checkpoint_dir, fp_in: str, cfg,
     else:
         cfg.skew_volumes = {}
         res = (local_match_pairs(ingest, ingest, 'record_id', 'record_id',
-                                 'content', 'content', cfg, True)
+                                 'content', 'content', cfg, True, gates)
                if len(ingest) else (_empty_pairs(), {}))
         if res is None:
             return {'fallback': 'payload'}
@@ -345,7 +345,9 @@ def _record_linkage_impl(repos_path, checkpoint_dir, threshold, tokenizer,
                       num_buckets=num_buckets,
                       salt_df_threshold=salt_df_threshold,
                       counter_name=counter_name)
-    gate = _route_gate(repos_path, cfg)
+    from ..stages.localjoin import _gates
+    gates = _gates()
+    gate = _route_gate(repos_path, gates)
     files = gate.pop('files', None)
     counters: dict = {'route': gate.pop('route'), 'route_gate': gate}
     fp_in = mf.file_fingerprint(repos_path)
@@ -355,7 +357,7 @@ def _record_linkage_impl(repos_path, checkpoint_dir, threshold, tokenizer,
     handoff = None
     if counters['route'] == 'local':
         res = ray.get(_LINKAGE_TASK.remote(files, checkpoint_dir, fp_in, cfg,
-                                           gate['byte_cap'], _cc_task_gate()))
+                                           gates, cluster._CC_TASK_GATE))
         if 'fallback' not in res:
             counters.update(res['counters'])
             if checkpoint_dir:

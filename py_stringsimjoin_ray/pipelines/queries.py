@@ -12,6 +12,8 @@ semantic contract; scores are separately pinned by the unit-test oracles.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pandas as pd
 
@@ -21,7 +23,7 @@ from ..core.tokenizers import (QgramTokenizer, WhitespaceTokenizer,
                                WordQgramTokenizer)
 from ..functions import textstats
 from ..functions.profiler import profile_counts
-from ..stages import ann, cluster, dedup, media
+from ..stages import ann, attach, cluster, dedup, localjoin, media
 from . import filters, join, matcher
 from .suffix_oracle import suffix_filter_oracle_sql
 
@@ -38,6 +40,20 @@ def _keys_int(df: pd.DataFrame, cols) -> pd.DataFrame:
     for c in cols:
         df[c] = df[c].astype(np.int64)
     return df
+
+
+@contextlib.contextmanager
+def _pinned(module, **constants):
+    """Set a module's gate constants for one query (the regime-pinning
+    queries), restored on exit, on error too."""
+    prev = {k: getattr(module, k) for k in constants}
+    for k, v in constants.items():
+        setattr(module, k, v)
+    try:
+        yield
+    finally:
+        for k, v in prev.items():
+            setattr(module, k, v)
 
 
 # ------------------------------------------------------------------- joins
@@ -72,27 +88,19 @@ def q_jaccard_two_relation_part(sf_dir):
     """Two-relation (R ≠ S) join through the FORCED sharded-broadcast scale
     path: the table is read as two distinct Datasets, so ``same_relation``
     is False and the postings carry side tags
-    (``slimjoin.SlimPostingsStage(emit_sides=True)``), and
-    ``SSJ_FORCE_DISTRIBUTED`` routes past both the local fast path and the
-    broadcast kernel — the exact path a cross-table linkage takes beyond
-    the object-store gate.  Joining a table against an identical copy of
+    (``slimjoin.SlimPostingsStage(emit_sides=True)``), and a row cap of 0
+    routes past the local fast path to the Dataset route's sharded Tsig
+    plan — the exact path a cross-table linkage takes beyond the local
+    caps.  Joining a table against an identical copy of
     itself must equal the self-join oracle (reference semantics:
     ``jaccard_join`` has no special casing for ltable == rtable —
     ``join/jaccard_join_py.py``)."""
-    import os
     l_part = _t(sf_dir, 'part')
     r_part = _t(sf_dir, 'part')
     assert l_part is not r_part
-    prev = os.environ.get('SSJ_FORCE_DISTRIBUTED')
-    os.environ['SSJ_FORCE_DISTRIBUTED'] = '1'
-    try:
+    with _pinned(localjoin, DEFAULT_LOCAL_MAX_ROWS=0):
         out = join.jaccard_join(l_part, r_part, 'p_partkey', 'p_partkey',
                                 'p_name', 'p_name', _ws(), 0.5)
-    finally:
-        if prev is None:
-            del os.environ['SSJ_FORCE_DISTRIBUTED']
-        else:  # pragma: no cover
-            os.environ['SSJ_FORCE_DISTRIBUTED'] = prev
     return _keys_int(out[['l_p_partkey', 'r_p_partkey', '_sim_score']].copy(),
                      ['l_p_partkey', 'r_p_partkey'])
 
@@ -126,18 +134,10 @@ def q_overlap_join_candgen_part(sf_dir):
     the prefix-candgen + verify regime gets its own driver-hash-checked
     row (both regimes must produce the identical oracle pair set;
     routing is by relative threshold, stages/localjoin.py)."""
-    import os as _os
-    old = _os.environ.get('SSJ_OVERLAP_COUNT_REL')
-    _os.environ['SSJ_OVERLAP_COUNT_REL'] = '0'
-    try:
-        part = _t(sf_dir, 'part')
+    part = _t(sf_dir, 'part')
+    with _pinned(localjoin, _OVERLAP_COUNT_REL=0):
         out = join.overlap_join(part, part, 'p_partkey', 'p_partkey',
                                 'p_name', 'p_name', _ws(), 2)
-    finally:
-        if old is None:
-            _os.environ.pop('SSJ_OVERLAP_COUNT_REL', None)
-        else:
-            _os.environ['SSJ_OVERLAP_COUNT_REL'] = old
     return _keys_int(out[['l_p_partkey', 'r_p_partkey', '_sim_score']].copy(),
                      ['l_p_partkey', 'r_p_partkey', '_sim_score'])
 
@@ -317,25 +317,16 @@ def q_apply_matcher_dataset_part(sf_dir):
 
 def q_apply_matcher_dist_part(sf_dir):
     """apply_matcher through the beyond-gate bucketed-attach regime
-    (SSJ_ATTACH_FORCE_DIST): no side-table broadcast, hash-shuffle attach
-    only; result equals the broadcast-regime oracle."""
-    import os
-
+    (``attach._BUCKETED_ONLY``): no side-table broadcast, hash-shuffle
+    attach only; result equals the broadcast-regime oracle."""
     from ..core.measures import jaccard
     part = _t(sf_dir, 'part')
     cand = filters.OverlapFilter(_ws(), 1).filter_tables(
         part, part, 'p_partkey', 'p_partkey', 'p_name', 'p_name')
-    prev = os.environ.get('SSJ_ATTACH_FORCE_DIST')
-    os.environ['SSJ_ATTACH_FORCE_DIST'] = '1'
-    try:
+    with _pinned(attach, _BUCKETED_ONLY=True):
         out = matcher.apply_matcher(cand, 'l_p_partkey', 'r_p_partkey',
                                     part, part, 'p_partkey', 'p_partkey',
                                     'p_name', 'p_name', _ws(), jaccard, 0.5)
-    finally:
-        if prev is None:
-            del os.environ['SSJ_ATTACH_FORCE_DIST']
-        else:  # pragma: no cover
-            os.environ['SSJ_ATTACH_FORCE_DIST'] = prev
     return _keys_int(out[['l_p_partkey', 'r_p_partkey', '_sim_score']].copy(),
                      ['l_p_partkey', 'r_p_partkey'])
 

@@ -14,12 +14,12 @@ attribute values from the two source tables.  Two regimes (VERDICT r2
   A pandas candset bound for a pandas result (no checkpoint) skips Ray Data
   altogether: ``broadcast_map`` runs the batch body once on the whole frame
   in one plain Ray task, the sides passed as task arguments.
-- **bucketed** — beyond the gate (or forced with ``SSJ_ATTACH_FORCE_DIST=1``)
-  the projection stays a Dataset and attaches via a hash-bucket shuffle:
-  candset rows and side rows are tagged with ``hash(key) % P``, unioned
-  under one padded schema, and each ``groupby(bucket).map_groups`` group
-  gathers its side values with one vectorized indexer.  No single node ever
-  holds the side table.  (Ray 2.49's native ``Dataset.join`` was measured
+- **bucketed** — beyond the gate (or forced with the ``_BUCKETED_ONLY``
+  test hook) the projection stays a Dataset and attaches via a
+  hash-bucket shuffle: candset rows and side rows are tagged with
+  ``hash(key) % P``, unioned under one padded schema, and each
+  ``groupby(bucket).map_groups`` group gathers its side values with one
+  vectorized indexer.  No single node ever holds the side table.  (Ray 2.49's native ``Dataset.join`` was measured
   flaky here — empty hash partitions intermittently lose their schema and
   abort a chained join — so the attach rides the repo's groupby pattern.)
 
@@ -29,8 +29,6 @@ the input tables.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -39,17 +37,14 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..state.broadcast import broadcast_gate_bytes
 
-def attach_gate_bytes() -> int:
-    env = os.environ.get('SSJ_ATTACH_GATE_BYTES')
-    if env:
-        return int(env)
-    from ..state.broadcast import broadcast_gate_bytes
-    return broadcast_gate_bytes()
-
-
-def force_distributed() -> bool:
-    return os.environ.get('SSJ_ATTACH_FORCE_DIST') == '1'
+# test hook: plan every side, pandas included, for the bucketed regime (no
+# gate picks it for a pandas side)
+_BUCKETED_ONLY = False
+# sub-buckets each side row replicates into under ``bucketed_attach``'s
+# skew salting; 1 is off
+_ATTACH_SALT = 1
 
 
 def plan_side(table, key_attr: str, need_cols: list[str]):
@@ -60,13 +55,13 @@ def plan_side(table, key_attr: str, need_cols: list[str]):
     ``('dataset', ds)`` with the projected Dataset.  pandas inputs are
     driver-resident already, so they always broadcast unless forced."""
     if isinstance(table, pd.DataFrame):
-        if not force_distributed():
+        if not _BUCKETED_ONLY:
             return 'broadcast', table[need_cols].set_index(key_attr,
                                                            drop=False)
         return 'dataset', ray.data.from_pandas(
             table[need_cols].reset_index(drop=True))
     proj = table.select_columns(need_cols).materialize()
-    if not force_distributed() and proj.size_bytes() <= attach_gate_bytes():
+    if not _BUCKETED_ONLY and proj.size_bytes() <= broadcast_gate_bytes():
         return 'broadcast', proj.to_pandas().set_index(key_attr, drop=False)
     return 'dataset', proj
 
@@ -164,14 +159,14 @@ def bucketed_attach(cand_ds: ray.data.Dataset, cand_schema: pa.Schema,
     ``colmap`` maps each original side column to its output column.
 
     Skew salting: a hot candset key funnels all its pairs into one bucket
-    group.  With ``salt`` > 1 (env ``SSJ_ATTACH_SALT``) each side row
+    group.  With ``salt`` > 1 (default ``_ATTACH_SALT``) each side row
     replicates into ``salt`` sub-buckets while each candset row picks ONE
     sub-bucket by hashing ``salt_col`` (the pair's OTHER key — uniform per
     hot key by construction), bounding any group at ~1/salt of the hot
     key's pairs for salt× side wire."""
     P = num_buckets or default_attach_buckets()
     if salt is None:
-        salt = int(os.environ.get('SSJ_ATTACH_SALT', '1'))
+        salt = _ATTACH_SALT
     if salt_col is None:
         salt = 1
     if isinstance(side, pd.DataFrame):

@@ -7,7 +7,7 @@ caller (``record_linkage``'s Dataset route, ``near_dedup``, the
 ``cluster_components_part`` query, the flagship entry) goes through the
 two entry points here:
 
-* ``connected_components`` has one gate, ``SSJ_CC_TASK_GATE`` edges.  At
+* ``connected_components`` has one gate, ``_CC_TASK_GATE`` edges.  At
   or below it ONE ``num_cpus=1`` task runs ``connected_components_numpy``
   over the edge Dataset's blocks (measured 0.77 s at 4.3M edges against
   4.0 s for the star rounds); the driver holds only block refs.  Above it
@@ -27,8 +27,6 @@ two entry points here:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -42,11 +40,12 @@ from .attach import arrow_schema_of, default_attach_buckets
 # 320 MB at the gate) instead of shuffling both sides by id
 _ATTACH_BROADCAST_ROWS = 20_000_000
 
+# edges up to which one task labels the whole graph (numpy CC: 0.77 s at
+# 4.3M edges against 4.0 s for the star rounds, and 467 s for them under
+# the 3x scaling corpus's object-store pressure)
+_CC_TASK_GATE = 32_000_000
+
 _KNUTH = np.uint64(2654435761)
-
-
-def _cc_task_gate() -> int:
-    return int(os.environ.get('SSJ_CC_TASK_GATE', '32000000'))
 
 
 def _int64(col) -> np.ndarray:
@@ -168,12 +167,12 @@ def connected_components(edges: ray.data.Dataset, max_rounds: int = 50
     (node:int64, component:int64) with component = min node id of the
     node's component; every node incident to an edge appears.
 
-    Up to ``SSJ_CC_TASK_GATE`` edges one task labels the graph (each star
+    Up to ``_CC_TASK_GATE`` edges one task labels the graph (each star
     round costs two shuffles of fixed latency, which dwarfs the work on a
     graph that fits one task); above it the star rounds run, and a graph
     that reaches no fixpoint within ``max_rounds`` raises RuntimeError."""
     edges = edges.materialize()
-    if edges.count() <= _cc_task_gate():
+    if edges.count() <= _CC_TASK_GATE:
         return ray.data.from_arrow_refs(
             [_cc_task.remote(*_block_refs(edges))])
     # drop self-loops, canonicalize

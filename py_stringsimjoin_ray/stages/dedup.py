@@ -21,6 +21,17 @@ import pyarrow as pa
 
 import ray.data
 
+# minhash-LSH corpora up to this many documents run on one in-memory table
+# (5,000 sf0.1 documents: 3.93 s -> 0.83 s, identical pairs); 0 turns the
+# local route off
+_LOCAL_MINHASH_MAX_ROWS = 200_000
+# LSH candidate pairs up to which verify broadcasts the candidate ids and
+# ships only their documents; past it every document rides the shuffles
+_LSH_BROADCAST_PAIR_LIMIT = 2_000_000
+# duplicated-document membership rows up to which class expansion ships
+# the index once via ray.put; past it, two bucketed attach passes
+_LSH_EXPAND_BROADCAST_LIMIT = 20_000_000
+
 _M61 = (1 << 61) - 1
 
 
@@ -401,11 +412,10 @@ def _expand_classes(verified: ray.data.Dataset, shingled: ray.data.Dataset,
     intra-class pairs — Jaccard 1.0 by construction — exactly once per dup
     class, and (b) each verified rep pair crossed with both classes' member
     lists.  The membership index covers only DUPLICATED documents; below
-    ``SSJ_LSH_EXPAND_BROADCAST_LIMIT`` rows it ships once via ``ray.put``
+    ``_LSH_EXPAND_BROADCAST_LIMIT`` rows it ships once via ``ray.put``
     and expansion is one shuffle-free map over the verified stream; beyond
     the gate it runs as two bucketed attach passes (the same join shape as
     the LSH verify), so nothing corpus-sized ever reaches the driver."""
-    import os as _os
 
     def memb_rows(b: pa.Table) -> pa.Table:
         dg = b['dg'].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -433,10 +443,7 @@ def _expand_classes(verified: ray.data.Dataset, shingled: ray.data.Dataset,
     n_dup = dupm.count()
     if n_dup == 0:
         return verified
-    gate = int(_os.environ.get('SSJ_LSH_EXPAND_BROADCAST_LIMIT',
-                               '20000000'))
-
-    if n_dup <= gate:
+    if n_dup <= _LSH_EXPAND_BROADCAST_LIMIT:
         rep_parts, id_parts = [], []
         for b in dupm.iter_batches(batch_format='pyarrow', batch_size=None):
             t = pa.table(b)
@@ -627,24 +634,17 @@ def _local_minhash_pairs(ds, id_col: str, text_col: str, threshold: float,
     """Size-gated local fast path for ``minhash_lsh_pairs`` (the
     ``stages/localjoin.py`` pattern): at bench/test corpus sizes the
     distributed pipeline's ~7 Dataset stage barriers cost more wall than
-    the whole computation, so below ``SSJ_LOCAL_MINHASH_MAX_ROWS``
-    (default 200k docs) the SAME kernels — ``_shingle_hashes_batch``,
+    the whole computation, so below ``_LOCAL_MINHASH_MAX_ROWS``
+    (200k docs) the SAME kernels — ``_shingle_hashes_batch``,
     ``_set_digest`` classes, ``MinHasher`` signatures,
     ``_band_digest_matrix`` buckets, ``_verify_jaccard_slabbed``,
     ``_memb_index``/``_side_expand`` class expansion — run synchronously
     on one in-memory table.  Output rows are identical to the distributed
     path (pinned by pytest equality and the driver oracles).  Returns
-    None beyond the gate or when disabled (``SSJ_LOCAL_MINHASH=0``;
-    ``force`` lifts the cap for parity tests)."""
-    import os as _os
-    flag = _os.environ.get('SSJ_LOCAL_MINHASH', '1')
-    if flag == '0':
-        return None
-    cap = 2 ** 62 if flag == 'force' else int(
-        _os.environ.get('SSJ_LOCAL_MINHASH_MAX_ROWS', '200000'))
+    None beyond the gate (or the ``SSJ_LOCAL_MAX_BYTES`` payload cap)."""
     from .localjoin import _fetch_local, _local_byte_cap
-    byte_cap = 2 ** 62 if flag == 'force' else _local_byte_cap()
-    t = _fetch_local(ds, [id_col, text_col], cap, byte_cap)
+    t = _fetch_local(ds, [id_col, text_col], _LOCAL_MINHASH_MAX_ROWS,
+                     _local_byte_cap())
     if t is None:
         return None
     rows_per_band = num_perm // bands
@@ -854,9 +854,7 @@ def _minhash_lsh_pairs_impl(ds: ray.data.Dataset, id_col: str, text_col: str,
     # exceeds the broadcast budget, fall back to shipping all docs.
     import ray as _ray
     shingled_v = shingled
-    import os as _os
-    broadcast_verify = cands.count() <= int(
-        _os.environ.get('SSJ_LSH_BROADCAST_PAIR_LIMIT', '2000000'))
+    broadcast_verify = cands.count() <= _LSH_BROADCAST_PAIR_LIMIT
     cand_ids = np.empty(0, np.int64)
     if broadcast_verify:
         pair_l_parts, pair_r_parts = [], []

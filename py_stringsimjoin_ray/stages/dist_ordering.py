@@ -15,8 +15,9 @@ This module is the beyond-driver path (VERDICT r1 #4):
    table ``(key, sz, ranks, plen[, s])``, identical schema to the broadcast
    ``RankPrefixStage`` output, with ZERO driver-side vocabulary state.
 
-Forced via ``SSJ_DISTRIBUTED_ORDERING=1``; the broadcast path remains the
-small-vocab fast path.
+EDIT_DISTANCE joins take it past ``join._ORDERING_PARTIAL_GATE`` partial
+rows (set-measure joins only under the ``join._DISTRIBUTED_ORDERING`` test
+hook); the broadcast path remains the small-vocab fast path.
 
 Semantics anchor: ``/root/reference/py_stringsimjoin/utils/
 token_ordering.py:24-55`` (rank ascending by corpus frequency, ties by

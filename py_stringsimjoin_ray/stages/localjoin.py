@@ -27,14 +27,14 @@ candgen gates and the verify predicate (``stages/slimjoin.py``):
   the driver.  When those postings would exceed the byte gate the task
   returns None and the caller takes the Dataset route.
 
-Gate: both inputs at most ``SSJ_LOCAL_MAX_ROWS`` (default 1M) total rows
-and ``SSJ_LOCAL_MAX_BYTES`` (default 128 MB) of fetched payload, probed
-at bounded cost (``len()`` for pandas and Arrow tables; ``ds.limit(cap)``
-for Datasets — the limit early-terminates streaming execution, so the
-probe never scans more than the cap even on a 100 TB input).  Beyond the
-gate the Dataset pipeline runs unchanged.  ``SSJ_LOCAL_JOIN=0`` disables
-the local route, ``=force`` takes it regardless of size (tests use both to
-pin route equivalence).
+Gate: both inputs at most ``DEFAULT_LOCAL_MAX_ROWS`` (1M) total rows and
+``SSJ_LOCAL_MAX_BYTES`` (default 128 MB) of fetched payload, probed at
+bounded cost (``len()`` for pandas and Arrow tables; ``ds.limit(cap)`` for
+Datasets — the limit early-terminates streaming execution, so the probe
+never scans more than the cap even on a 100 TB input).  Beyond the gate
+the Dataset pipeline runs unchanged.  Tests pin either route through the
+row cap (0 or 2**62).  ``SSJ_LOCAL_MAX_BYTES`` is the library's one
+environment knob, read in ``_local_byte_cap`` and nowhere else.
 
 Output parity: candidate recall is guaranteed for ANY consistent global
 token order by prefix-filter theory (verification is exact), so set
@@ -82,30 +82,22 @@ _FANOUT_WORK = 5_000_000
 _POSTING_ROW_BYTES = 24
 
 
-def local_join_eligible(ltable, rtable, cfg, same_relation: bool) -> bool:
-    """Flag gate only (joins and the candidates modes alike) — the size
-    gate lives in ``_fetch_local``, which probes and materializes in the
-    same bounded pass.  ``cfg.skip_local_probe`` marks a caller that has
-    already sized the input against the caps and chose the Dataset
-    route."""
-    flag = os.environ.get('SSJ_LOCAL_JOIN', '1')
-    if flag == '0' or cfg.skip_local_probe:
-        return False
-    return not (os.environ.get('SSJ_FORCE_DISTRIBUTED') == '1'
-                or os.environ.get('SSJ_DISTRIBUTED_ORDERING') == '1')
-
-
-def _local_row_cap() -> int:
-    if os.environ.get('SSJ_LOCAL_JOIN') == 'force':
-        return 2 ** 62  # tests pin path parity regardless of size
-    return int(os.environ.get('SSJ_LOCAL_MAX_ROWS', DEFAULT_LOCAL_MAX_ROWS))
-
-
 def _local_byte_cap() -> int:
-    if os.environ.get('SSJ_LOCAL_JOIN') == 'force':
-        return 2 ** 62
+    """The local routes' payload cap, ``SSJ_LOCAL_MAX_BYTES``: the only
+    environment read in the library, at call time."""
     return int(os.environ.get('SSJ_LOCAL_MAX_BYTES',
                               DEFAULT_LOCAL_MAX_BYTES))
+
+
+def _gates() -> dict:
+    """This module's gates, read at call time in the calling process and
+    handed to the bodies that may run in a Ray task (a constant patched in
+    the driver is not seen there): the row and byte caps, the fan-out
+    (postings, pair tests, candidate pairs) thresholds and the OVERLAP
+    counting route's (relative threshold, incidence cap)."""
+    return {'row_cap': DEFAULT_LOCAL_MAX_ROWS, 'byte_cap': _local_byte_cap(),
+            'fanout': (_FANOUT_POSTINGS, _FANOUT_WORK, _FANOUT_PAIRS),
+            'count': (_OVERLAP_COUNT_REL, _OVERLAP_COUNT_MAX_INC)}
 
 
 def _cheap_size_bytes(table) -> int | None:
@@ -240,7 +232,17 @@ def _candgen_chunk(tbl: pa.Table, cfg, same_relation: bool) -> np.ndarray:
 _COUNT_SLAB = 8_000_000
 
 
-def _overlap_count_route(cfg, bc) -> bool:
+# OVERLAP joins whose threshold is at most this fraction of the mean record
+# size take the counting kernel (against the reference's overlap join on
+# its synthetic o>=3 shape: 10k 0.51x -> 0.96x, 150k 0.60x -> 1.45x); 0
+# turns the route off
+_OVERLAP_COUNT_REL = 0.8
+# ... unless the token-incidence volume the kernel enumerates passes this
+# cap (a stopword-like token makes it quadratic; candgen grid-salts it)
+_OVERLAP_COUNT_MAX_INC = 2e8
+
+
+def _overlap_count_route(cfg, bc, rel: float, max_inc: float) -> bool:
     """Route OVERLAP joins with a LOW relative threshold to the counting
     kernel: prefix filtering prunes a fraction ≈ (t-1)/n of each record's
     postings, so at t/n below ~0.5 candidate generation enumerates nearly
@@ -251,7 +253,6 @@ def _overlap_count_route(cfg, bc) -> bool:
     the per-pair verify re-intersection entirely."""
     if cfg.sim_type != 'OVERLAP' or cfg.mode != 'join':
         return False
-    rel = float(os.environ.get('SSJ_OVERLAP_COUNT_REL', '0.8'))
     if rel <= 0:
         return False
     w = (np.diff(bc.l_key_off) + np.diff(bc.r_key_off)).astype(np.float64)
@@ -265,7 +266,6 @@ def _overlap_count_route(cfg, bc) -> bool:
     # with NO heavy-token mitigation — a stopword-like token (df ≈ n)
     # makes that quadratic, where the candgen path grid-salts it.  One
     # cheap pass estimates the volume and falls back past the cap.
-    cap = float(os.environ.get('SSJ_OVERLAP_COUNT_MAX_INC', 2e8))
     toks, sis, _nd = _sig_token_postings(bc)
     hl = np.diff(bc.l_key_off) > 0
     hr = np.diff(bc.r_key_off) > 0
@@ -273,7 +273,7 @@ def _overlap_count_route(cfg, bc) -> bool:
     tr = toks[hr[sis]]
     inc = float((np.searchsorted(tl, tr, 'right')
                  - np.searchsorted(tl, tr, 'left')).sum())
-    return inc <= cap
+    return inc <= max_inc
 
 
 def _sig_token_postings(bc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -520,14 +520,14 @@ def _tokenize_sides(arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr,
 
 
 def _local_pairs(arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr,
-                 r_join_attr, cfg, byte_cap: int, fanout: tuple):
+                 r_join_attr, cfg, gates: dict):
     """Local body of every mode → (pairs, empties), or None when a
-    candidates mode's postings would exceed ``byte_cap`` (the caller then
-    takes the Dataset route).  The Dataset route's stages, salting, side
-    rule and kernels, in process; candgen / verify fan out to up to
-    ``cpus`` plain tasks past the ``fanout`` = (postings, pair tests,
-    candidate pairs) thresholds, which the caller reads from this module in
-    its own process.  ``arr_r is None`` means the same relation."""
+    candidates mode's postings would exceed ``gates['byte_cap']`` (the
+    caller then takes the Dataset route).  The Dataset route's stages,
+    salting, side rule and kernels, in process; candgen / verify fan out to
+    up to ``cpus`` plain tasks past the ``gates['fanout']`` thresholds.
+    ``gates`` is ``_gates()`` as the caller read it in its own process.
+    ``arr_r is None`` means the same relation."""
     same_relation = arr_r is None
     tok_l, tok_r = _tokenize_sides(arr_l, arr_r, l_key_attr, r_key_attr,
                                    l_join_attr, r_join_attr, cfg)
@@ -560,10 +560,10 @@ def _local_pairs(arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr,
     if cfg.mode != 'join':
         # memory guard: the slim postings of the distinct signatures
         rows = int(np.minimum(bc.plen, np.diff(bc.rank_off)).sum())
-        if rows * _POSTING_ROW_BYTES > byte_cap:
+        if rows * _POSTING_ROW_BYTES > gates['byte_cap']:
             return None
 
-    if _overlap_count_route(cfg, bc):
+    if _overlap_count_route(cfg, bc, *gates['count']):
         return _overlap_count_pairs(bc, cfg, same_relation), empties
 
     nb = int(min(cfg.num_buckets, max(32, len(tsig_tbl) // 4 + 16)))
@@ -572,6 +572,7 @@ def _local_pairs(arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr,
 
     cpus = int(ray.cluster_resources().get('CPU', 8)) \
         if ray.is_initialized() else 0
+    fanout = gates['fanout']
     chunks = _bucket_chunks(postings['bucket'].to_numpy(), cpus,
                             fanout[0], fanout[1])
     if chunks is not None:
@@ -619,19 +620,20 @@ def _verify_chunk(bc, pair64: np.ndarray, cfg,
 
 def local_match_pairs(ltable, rtable, l_key_attr, r_key_attr,
                       l_join_attr, r_join_attr, cfg,
-                      same_relation: bool):
+                      same_relation: bool, gates: dict | None = None):
     """Local route → (pairs DataFrame, empties dict), or None when either
     input exceeds the size gate (caller falls through to the Dataset
     pipeline).  Joins run ``_local_pairs`` in-process; the candidates modes
     run it in one Ray task (``_CANDIDATES_TASK``).  Exact-same kernels and
     therefore exact-same output as the Dataset pipeline (pinned by
     tests/test_local_join.py and tests/test_local_filters.py against
-    SSJ_LOCAL_JOIN=0 runs).  A join appends its per-task candgen / verify
-    volumes to ``cfg.skew_volumes``, in process: the
-    ``skewstats.summarize`` input, the numbers the Dataset route's kernels
-    report to a ``SkewStats`` actor."""
-    cap = _local_row_cap()
-    byte_cap = _local_byte_cap()
+    Dataset-route runs).  ``gates`` defaults to ``_gates()`` read here; a
+    caller running inside a task passes the driver's.  A join appends its
+    per-task candgen / verify volumes to ``cfg.skew_volumes``, in process:
+    the ``skewstats.summarize`` input, the numbers the Dataset route's
+    kernels report to a ``SkewStats`` actor."""
+    gates = gates or _gates()
+    cap, byte_cap = gates['row_cap'], gates['byte_cap']
     arr_l = _fetch_local(ltable, [l_key_attr, l_join_attr], cap, byte_cap)
     if arr_l is None:
         return None
@@ -641,12 +643,11 @@ def local_match_pairs(ltable, rtable, l_key_attr, r_key_attr,
                              cap - len(arr_l), byte_cap - arr_l.nbytes)
         if arr_r is None:
             return None
-    fanout = (_FANOUT_POSTINGS, _FANOUT_WORK, _FANOUT_PAIRS)
     if cfg.mode != 'join':
         # the candidates modes run in one task: their postings never reach
         # the driver
         return ray.get(_CANDIDATES_TASK.remote(
             arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr, r_join_attr,
-            cfg, byte_cap, fanout))
+            cfg, gates))
     return _local_pairs(arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr,
-                        r_join_attr, cfg, byte_cap, fanout)
+                        r_join_attr, cfg, gates)

@@ -56,7 +56,7 @@ class DecodeStage:
         if not self.fake_decode:
             raise NotImplementedError(
                 'media decode requires an image/audio codec library that is '
-                'not available in this environment; construct with '
+                'not installed here; construct with '
                 'fake_decode=True for the deterministic stand-in')
         # deterministic fake: md5 bytes → 8 float features in [0, 1)
         d = hashlib.md5(payload).digest()

@@ -43,7 +43,6 @@ exactly what the verify attach reconstructs.
 from __future__ import annotations
 
 import contextlib
-import os
 
 import numpy as np
 import pandas as pd
@@ -1110,7 +1109,7 @@ class BroadcastVerify:
                 np.empty(0, np.float64))
 
 
-# shard count: one shard per SSJ_SHARD_TARGET_BYTES of the estimated
+# shard count: one shard per _SHARD_TARGET_BYTES of the estimated
 # signature table, a power of two (no empty top shards), at most
 # _MAX_SHARDS — a task-count sanity bound, since each builder slices the
 # split blocks by binary search instead of scanning them
@@ -1123,11 +1122,9 @@ def _shard_plan(size_bytes_hint: int | None, num_buckets: int) -> tuple:
     K = next power of two of ceil(hint / target) in [1, _MAX_SHARDS]; the
     K^2 * shard_sub verify groups cover at least ``num_buckets``, so one
     shard routes pairs exactly as ``hash(pair64) % num_buckets``."""
-    target = int(os.environ.get('SSJ_SHARD_TARGET_BYTES',
-                                str(_SHARD_TARGET_BYTES)))
     # no estimate: size the table as twice the broadcast floor (4 GiB)
     est = size_bytes_hint or 2 * _BROADCAST_GATE_FLOOR
-    n = min(max(1, -(-int(est) // target)), _MAX_SHARDS)
+    n = min(max(1, -(-int(est) // _SHARD_TARGET_BYTES)), _MAX_SHARDS)
     k = 1 << (n - 1).bit_length()
     return k, -(-num_buckets // (k * k))
 
@@ -1165,7 +1162,7 @@ def slim_match_pairs(ranked_l, ranked_r, cfg, heavy_ref,
     Tsig is built by K parallel shard builders, each shard (a HIGH-BIT
     signature range) its own bounded _TsigBroadcast ref.  Candidate pairs
     route by shard PAIR (BroadcastCandGen), so a verify task reads at most
-    TWO shards (~SSJ_SHARD_TARGET_BYTES each, zero-copy per node) and the
+    TWO shards (~_SHARD_TARGET_BYTES each, zero-copy per node) and the
     rank arrays never ride a pair exchange — the pair streams carry 8-B
     pair64s end to end (measured on the 3x/4.46M-file corpus at 32 CPUs:
     247 s with the former attach/expand passes, 63 s sharded).  Below the

@@ -7,8 +7,6 @@ paid once per node, not once per worker slice)."""
 
 from __future__ import annotations
 
-import os
-
 import ray
 
 # The floor is 2 GiB; when the per-node object store is large the gate
@@ -18,9 +16,6 @@ _BROADCAST_GATE_FLOOR = 2 * 1024 ** 3
 
 
 def broadcast_gate_bytes() -> int:
-    env = os.environ.get('SSJ_BROADCAST_GATE_BYTES')
-    if env:
-        return int(env)
     try:
         total = ray.cluster_resources().get('object_store_memory', 0)
         nodes = max(1, len([n for n in ray.nodes() if n.get('Alive', True)]))

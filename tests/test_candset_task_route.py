@@ -215,14 +215,22 @@ def test_join_honours_tokenize_override():
 
 
 def test_broadcast_gate_adaptive(monkeypatch):
-    """The broadcast gate honors the env override and otherwise floors at
-    2 GiB, scaling with the per-node object store; the attach regime
-    reads it unless its own override is set."""
-    from py_stringsimjoin_ray.stages.attach import attach_gate_bytes
+    """The broadcast gate floors at 2 GiB, scaling with the per-node object
+    store; the attach regime reads it."""
+    import ray
+
+    from py_stringsimjoin_ray.stages import attach
     from py_stringsimjoin_ray.state.broadcast import broadcast_gate_bytes
-    monkeypatch.setenv('SSJ_BROADCAST_GATE_BYTES', '12345')
-    assert broadcast_gate_bytes() == 12345
-    monkeypatch.delenv('SSJ_ATTACH_GATE_BYTES', raising=False)
-    assert attach_gate_bytes() == 12345
-    monkeypatch.delenv('SSJ_BROADCAST_GATE_BYTES')
     assert broadcast_gate_bytes() >= 2 * 1024 ** 3
+    big = 100 * 1024 ** 3
+    with monkeypatch.context() as m:
+        m.setattr(ray, 'cluster_resources',
+                  lambda: {'object_store_memory': big})
+        m.setattr(ray, 'nodes', lambda: [{'Alive': True}] * 2)
+        assert broadcast_gate_bytes() == int(0.15 * big / 2)
+    proj = pd.DataFrame({'k': [1, 2], 'v': ['a', 'b']})
+    assert attach.plan_side(ray.data.from_pandas(proj), 'k',
+                            ['k', 'v'])[0] == 'broadcast'
+    monkeypatch.setattr(attach, 'broadcast_gate_bytes', lambda: 0)
+    assert attach.plan_side(ray.data.from_pandas(proj), 'k',
+                            ['k', 'v'])[0] == 'dataset'

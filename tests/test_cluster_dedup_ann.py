@@ -24,10 +24,10 @@ class TestConnectedComponents:
         assert oracle == expected
         eds = self.edge_ds(edges)
         # one task below the gate, the star rounds above it
-        for gate in (None, '0'):
+        for gate in (None, 0):
             with monkeypatch.context() as m:
                 if gate is not None:
-                    m.setenv('SSJ_CC_TASK_GATE', gate)
+                    m.setattr(cluster, '_CC_TASK_GATE', gate)
                 got = cluster.connected_components(eds).to_pandas()
             assert dict(zip(got['node'], got['component'])) == oracle
 
@@ -49,7 +49,7 @@ class TestConnectedComponents:
         self.assert_cc(monkeypatch, edges, {1: 1, 2: 1, 3: 1, 7: 1, 9: 1})
 
     def test_max_rounds_without_fixpoint_raises(self, monkeypatch):
-        monkeypatch.setenv('SSJ_CC_TASK_GATE', '0')
+        monkeypatch.setattr(cluster, '_CC_TASK_GATE', 0)
         eds = self.edge_ds([(i, i + 1) for i in range(30)])
         with pytest.raises(RuntimeError, match='no fixpoint after 1'):
             cluster.connected_components(eds, max_rounds=1)
@@ -183,10 +183,10 @@ class TestDedup:
     def test_minhash_lsh_bucket_join_path(self, docs_ds, monkeypatch):
         # force the beyond-gate bucketed-join verify (local gate off, pair
         # limit 0) and pin it row-identical to the broadcast fast path
-        monkeypatch.setenv('SSJ_LOCAL_MINHASH', '0')
+        monkeypatch.setattr(dedup, '_LOCAL_MINHASH_MAX_ROWS', 0)
         base = dedup.minhash_lsh_pairs(docs_ds, 'doc_id', 'text',
                                        threshold=0.5, k=3).to_pandas()
-        monkeypatch.setenv('SSJ_LSH_BROADCAST_PAIR_LIMIT', '0')
+        monkeypatch.setattr(dedup, '_LSH_BROADCAST_PAIR_LIMIT', 0)
         out = dedup.minhash_lsh_pairs(docs_ds, 'doc_id', 'text',
                                       threshold=0.5, k=3).to_pandas()
         key = lambda d: sorted(map(tuple, d[['l_id', 'r_id', 'jaccard']]
@@ -198,7 +198,7 @@ class TestDedup:
         distributed pipeline's rows (same kernels, same band digests)."""
         local = dedup.minhash_lsh_pairs(docs_ds, 'doc_id', 'text',
                                         threshold=0.5, k=3).to_pandas()
-        monkeypatch.setenv('SSJ_LOCAL_MINHASH', '0')
+        monkeypatch.setattr(dedup, '_LOCAL_MINHASH_MAX_ROWS', 0)
         dist = dedup.minhash_lsh_pairs(docs_ds, 'doc_id', 'text',
                                        threshold=0.5, k=3).to_pandas()
         key = lambda d: sorted(map(tuple, d[['l_id', 'r_id', 'jaccard']]
@@ -223,7 +223,7 @@ class TestDedup:
             'text': pa.array(texts)})).repartition(4)
         local = dedup.minhash_lsh_pairs(ds, 'doc_id', 'text',
                                         threshold=0.6, k=3).to_pandas()
-        monkeypatch.setenv('SSJ_LOCAL_MINHASH', '0')
+        monkeypatch.setattr(dedup, '_LOCAL_MINHASH_MAX_ROWS', 0)
         dist = dedup.minhash_lsh_pairs(ds, 'doc_id', 'text',
                                        threshold=0.6, k=3).to_pandas()
         key = lambda d: sorted(map(tuple, d[['l_id', 'r_id', 'jaccard']]
@@ -262,7 +262,7 @@ class TestDedup:
         # varying sizes in one run — every within-class pair must appear
         # exactly once with jaccard 1.0, on the distributed path where the
         # intra-pair generator runs
-        monkeypatch.setenv('SSJ_LOCAL_MINHASH', '0')
+        monkeypatch.setattr(dedup, '_LOCAL_MINHASH_MAX_ROWS', 0)
         texts, expected = [], set()
         doc_id = 0
         for c, size in enumerate([2, 3, 4, 5, 2, 3, 1, 1]):
@@ -812,7 +812,7 @@ class TestNeardupAutoGate:
         from py_stringsimjoin_ray.stages import ann
         df = TestCosineNearDup._planted(seed=9)
         ds = ray.data.from_pandas(df).repartition(4)
-        monkeypatch.setenv('SSJ_ANN_GATE_BYTES', '1')
+        monkeypatch.setattr(ann, 'broadcast_gate_bytes', lambda: 1)
         with caplog.at_level(logging.WARNING, 'py_stringsimjoin_ray.ann'):
             auto = ann.cosine_neardup_pairs(ds, threshold=0.8, seed=3)
         assert any('degrading' in r.message for r in caplog.records)

@@ -6,6 +6,7 @@ import pytest
 from py_stringsimjoin_ray import (QgramTokenizer, disk_edit_distance_join,
                                   edit_distance_join, load_books_dataset,
                                   load_person_dataset, remove_non_ascii)
+from py_stringsimjoin_ray.stages import attach
 
 
 def test_disk_edit_distance_join_csv(tmp_path, person_tables):
@@ -89,15 +90,16 @@ def test_disk_join_out_attrs_csv_header(tmp_path, person_tables):
 def test_disk_join_out_attrs_bucketed_regime(tmp_path, person_tables,
                                              monkeypatch):
     """Beyond-gate path: out attrs attach via the bucketed hash-shuffle
-    (SSJ_ATTACH_FORCE_DIST) — result identical to the broadcast regime."""
+    (``attach._BUCKETED_ONLY``) — result identical to the broadcast
+    regime."""
     A, B = person_tables
     out_dir = str(tmp_path / 'outd')
     os.makedirs(out_dir)
-    monkeypatch.setenv('SSJ_ATTACH_FORCE_DIST', '1')
+    monkeypatch.setattr(attach, '_BUCKETED_ONLY', True)
     disk_edit_distance_join(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name', 2,
                             out_dir, l_out_attrs=['A.name'],
                             r_out_attrs=['B.name'])
-    monkeypatch.delenv('SSJ_ATTACH_FORCE_DIST')
+    monkeypatch.undo()
     got = pd.read_parquet(out_dir)
     exp = edit_distance_join(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name', 2,
                              l_out_attrs=['A.name'], r_out_attrs=['B.name'])

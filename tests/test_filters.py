@@ -19,37 +19,58 @@ WS = WhitespaceTokenizer(return_set=True)
 
 # filter_tables routes: the local route (one Ray task) and the Dataset route
 # (the slim-postings pipeline's candgen and verify shuffles); small inputs
-# take the local route by default, so the oracle tests pin both explicitly.
-# 'sharded' is the Dataset route again with a Tsig shard target so small
-# that the inputs fold into several shards instead of one (2-8 on the
-# person tables)
-ROUTES = ('force', '0', 'sharded')
-_SMALL_SHARD_TARGET = '300'
+# take the local route by default, so the oracle tests pin both explicitly
+# through the local row cap.  'sharded' is the Dataset route again with a
+# Tsig shard target so small that the inputs fold into several shards
+# instead of one (2-8 on the person tables)
+ROUTES = ('local', 'dataset', 'sharded')
+_SMALL_SHARD_TARGET = 300
 
 
 @pytest.fixture
 def each_route(monkeypatch):
     """``for route in each_route(): ...`` runs the loop body once per
-    route, with its ``SSJ_LOCAL_JOIN`` (and shard target) set; after the
-    loop, the sharded route must have built more than one shard."""
-    from py_stringsimjoin_ray.stages import slimjoin
+    route, with its row cap (and shard target) pinned; after the loop,
+    each route must have run: ``local_match_pairs`` produced the pairs
+    under the local pin, ``slim_match_pairs`` ran under the other two, and
+    the sharded route built more than one shard."""
+    from py_stringsimjoin_ray.stages import localjoin, slimjoin
+    ran = {route: set() for route in ROUTES}
     shard_counts = []
+    current = []
+    local = localjoin.local_match_pairs
+    slim = slimjoin.slim_match_pairs
     build = slimjoin.collect_tsig_shards
+
+    def local_spy(*args, **kwargs):
+        res = local(*args, **kwargs)
+        if res is not None:
+            ran[current[-1]].add('local')
+        return res
+
+    def slim_spy(*args, **kwargs):
+        ran[current[-1]].add('slim')
+        return slim(*args, **kwargs)
 
     def counted(tagged, same_relation, keep_string, nshards):
         shard_counts.append(nshards)
         return build(tagged, same_relation, keep_string, nshards)
 
+    monkeypatch.setattr(localjoin, 'local_match_pairs', local_spy)
+    monkeypatch.setattr(slimjoin, 'slim_match_pairs', slim_spy)
+
     def routes():
         for route in ROUTES:
+            current.append(route)
+            monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS',
+                                2 ** 62 if route == 'local' else 0)
             if route == 'sharded':
-                monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')
-                monkeypatch.setenv('SSJ_SHARD_TARGET_BYTES',
-                                   _SMALL_SHARD_TARGET)
+                monkeypatch.setattr(slimjoin, '_SHARD_TARGET_BYTES',
+                                    _SMALL_SHARD_TARGET)
                 monkeypatch.setattr(slimjoin, 'collect_tsig_shards', counted)
-            else:
-                monkeypatch.setenv('SSJ_LOCAL_JOIN', route)
             yield route
+        assert ran == {'local': {'local'}, 'dataset': {'slim'},
+                       'sharded': {'slim'}}, ran
         assert shard_counts and min(shard_counts) > 1, shard_counts
     return routes
 
@@ -498,12 +519,13 @@ def test_prefix_filter_edit_distance_unverified(ray_session, each_route):
         assert pairs == exp, route
 
 
-def test_filter_candset_forced_distributed_equality(person_tables):
-    """The bucketed hash-shuffle attach regime (SSJ_ATTACH_FORCE_DIST=1)
+def test_filter_candset_forced_distributed_equality(person_tables,
+                                                    monkeypatch):
+    """The bucketed hash-shuffle attach regime (``attach._BUCKETED_ONLY``)
     emits the byte-identical filtered candset (VERDICT r2 #3)."""
-    import os
-
     import ray.data
+
+    from py_stringsimjoin_ray.stages import attach
     A, B = person_tables
     tok = WhitespaceTokenizer(return_set=True)
     cand = OverlapFilter(tok, 1).filter_tables(A, B, 'A.ID', 'B.ID',
@@ -512,14 +534,12 @@ def test_filter_candset_forced_distributed_equality(person_tables):
     base = f.filter_candset(cand, 'l_A.ID', 'r_B.ID', A, B, 'A.ID', 'B.ID',
                             'A.name', 'B.name')
     assert len(base) > 0
-    os.environ['SSJ_ATTACH_FORCE_DIST'] = '1'
-    try:
-        forced = f.filter_candset(cand, 'l_A.ID', 'r_B.ID', A, B,
-                                  'A.ID', 'B.ID', 'A.name', 'B.name')
-        ds = f.filter_candset(ray.data.from_pandas(cand), 'l_A.ID', 'r_B.ID',
-                              A, B, 'A.ID', 'B.ID', 'A.name', 'B.name')
-    finally:
-        del os.environ['SSJ_ATTACH_FORCE_DIST']
+    monkeypatch.setattr(attach, '_BUCKETED_ONLY', True)
+    forced = f.filter_candset(cand, 'l_A.ID', 'r_B.ID', A, B,
+                              'A.ID', 'B.ID', 'A.name', 'B.name')
+    ds = f.filter_candset(ray.data.from_pandas(cand), 'l_A.ID', 'r_B.ID',
+                          A, B, 'A.ID', 'B.ID', 'A.name', 'B.name')
+    monkeypatch.undo()
     pd.testing.assert_frame_equal(forced, base)
     got = ds.to_pandas().sort_values(['_id']).reset_index(drop=True)
     exp = base.sort_values(['_id']).reset_index(drop=True)
@@ -594,9 +614,10 @@ def test_suffix_filter_tables_broadcast_gate(person_tables, monkeypatch):
     filter_candset composition instead of silently OOMing at scale."""
     A, B = person_tables
     f = SuffixFilter(WhitespaceTokenizer(return_set=True), 'JACCARD', 0.5)
-    monkeypatch.setenv('SSJ_SUFFIX_GATE_BYTES', '1')
+    from py_stringsimjoin_ray.pipelines import filters
+    monkeypatch.setattr(filters, 'broadcast_gate_bytes', lambda: 1)
     with pytest.raises(ValueError, match='filter_candset'):
         f.filter_tables(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name')
-    monkeypatch.delenv('SSJ_SUFFIX_GATE_BYTES')
+    monkeypatch.undo()
     out = f.filter_tables(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name')
     assert len(out) > 0  # below-gate path unaffected

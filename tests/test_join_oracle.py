@@ -15,6 +15,8 @@ from py_stringsimjoin_ray import (QgramTokenizer, WhitespaceTokenizer,
                                   overlap_join)
 from py_stringsimjoin_ray.core import measures
 from py_stringsimjoin_ray.core.comp_ops import COMP_OP_MAP
+from py_stringsimjoin_ray.pipelines import join
+from py_stringsimjoin_ray.stages import localjoin
 
 JOINS = {
     'JACCARD': (jaccard_join, measures.jaccard, True),
@@ -293,33 +295,22 @@ def _pairs_key_set(df, lcol, rcol):
 
 @pytest.mark.parametrize('force_dist', [False, True])
 def test_dataset_output_attaches_empty_and_missing(person_tables,
-                                                   force_dist):
+                                                   monkeypatch, force_dist):
     """output='dataset' emits the SAME pair classes as the pandas
     assembler: verified matches + allow_empty (∅,∅) score-1.0 pairs +
     allow_missing NaN cross-products (VERDICT r2 #2) — on both the local
     fast path and the forced distributed pipeline."""
-    import os
-
     import ray.data
     A, B = person_tables
     tok = WhitespaceTokenizer(return_set=True)
-    env = {}
     if force_dist:
-        env['SSJ_LOCAL_JOIN'] = os.environ.get('SSJ_LOCAL_JOIN')
-        os.environ['SSJ_LOCAL_JOIN'] = '0'
-    try:
-        ref = jaccard_join(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name', tok,
-                           0.7, allow_missing=True)
-        ds = jaccard_join(ray.data.from_pandas(A), ray.data.from_pandas(B),
-                          'A.ID', 'B.ID', 'A.name', 'B.name', tok, 0.7,
-                          allow_missing=True, output='dataset')
-        got = ds.to_pandas()
-    finally:
-        if force_dist:
-            if env['SSJ_LOCAL_JOIN'] is None:
-                del os.environ['SSJ_LOCAL_JOIN']
-            else:
-                os.environ['SSJ_LOCAL_JOIN'] = env['SSJ_LOCAL_JOIN']
+        monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
+    ref = jaccard_join(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name', tok,
+                       0.7, allow_missing=True)
+    ds = jaccard_join(ray.data.from_pandas(A), ray.data.from_pandas(B),
+                      'A.ID', 'B.ID', 'A.name', 'B.name', tok, 0.7,
+                      allow_missing=True, output='dataset')
+    got = ds.to_pandas()
     assert _pairs_key_set(got, 'l_key', 'r_key') \
         == _pairs_key_set(ref, 'l_A.ID', 'r_B.ID')
     # per-pair score parity (NaN == NaN)
@@ -349,43 +340,34 @@ def test_dataset_output_edit_distance_allow_missing(person_tables):
     assert np.isnan(got.loc[got['l_key'] == 'a7', '_sim_score']).all()
 
 
-def test_empty_keys_collect_gate(person_tables):
+def test_empty_keys_collect_gate(person_tables, monkeypatch):
     """The pandas assembler's allow_empty key collect is gated: beyond
-    SSJ_EMPTY_KEYS_GATE it raises with a pointer at output='dataset'
+    ``join._EMPTY_KEYS_GATE`` it raises with a pointer at output='dataset'
     instead of OOMing the driver (VERDICT r2 #3)."""
-    import os
     A, B = person_tables
     tok = WhitespaceTokenizer(return_set=True)
-    os.environ['SSJ_EMPTY_KEYS_GATE'] = '0'
-    os.environ['SSJ_LOCAL_JOIN'] = '0'  # local path returns plain lists
-    try:
-        with pytest.raises(MemoryError) as ei:
-            jaccard_join(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name', tok, 0.7)
-        assert "output='dataset'" in str(ei.value)
-        # dataset mode still works under the same gate
-        out = jaccard_join(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name', tok,
-                           0.7, output='dataset').to_pandas()
-        assert ('a6', 'b7') in set(zip(out['l_key'], out['r_key']))
-    finally:
-        del os.environ['SSJ_EMPTY_KEYS_GATE']
-        del os.environ['SSJ_LOCAL_JOIN']
+    monkeypatch.setattr(join, '_EMPTY_KEYS_GATE', 0)
+    # the local path returns plain lists
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
+    with pytest.raises(MemoryError) as ei:
+        jaccard_join(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name', tok, 0.7)
+    assert "output='dataset'" in str(ei.value)
+    # dataset mode still works under the same gate
+    out = jaccard_join(A, B, 'A.ID', 'B.ID', 'A.name', 'B.name', tok,
+                       0.7, output='dataset').to_pandas()
+    assert ('a6', 'b7') in set(zip(out['l_key'], out['r_key']))
 
 
-def test_cross_pairs_chunked_equality():
+def test_cross_pairs_chunked_equality(monkeypatch):
     """_cross_pairs_dataset with a 1-row chunk budget (many broadcast
     chunks) emits the identical cross product."""
-    import os
-
     from py_stringsimjoin_ray.pipelines.join import _cross_pairs_dataset
     lk = ['a1', 'a2', 'a3']
     rk = ['b1', 'b2', 'b3', 'b4', 'b5']
     exp = {(l, r) for l in lk for r in rk}
     base = _cross_pairs_dataset(lk, rk, 1.0).to_pandas()
-    os.environ['SSJ_CROSS_CHUNK_ROWS'] = '1'
-    try:
-        chunked = _cross_pairs_dataset(lk, rk, 1.0).to_pandas()
-    finally:
-        del os.environ['SSJ_CROSS_CHUNK_ROWS']
+    monkeypatch.setattr(join, '_CROSS_CHUNK_ROWS', 1)
+    chunked = _cross_pairs_dataset(lk, rk, 1.0).to_pandas()
     assert set(zip(base['l_key'], base['r_key'])) == exp
     assert set(zip(chunked['l_key'], chunked['r_key'])) == exp
     assert (chunked['_sim_score'] == 1.0).all()

@@ -9,6 +9,7 @@ import pytest
 
 from py_stringsimjoin_ray.pipelines.linkage import pairwise_f1, record_linkage
 from py_stringsimjoin_ray.sources.repos_corpus import generate_repos_corpus
+from py_stringsimjoin_ray.stages import cluster
 from py_stringsimjoin_ray.state import manifests as mf
 
 
@@ -165,19 +166,17 @@ def test_linkage_no_checkpoint(corpus):
     assert res['counters']['num_records'] == len(pd.read_parquet(truth))
 
 
-def test_linkage_forced_star_rounds_equality(corpus):
-    """SSJ_CC_TASK_GATE=0 forces the clusters stage through the distributed
-    large/small-star rounds instead of the single-task min-label kernel;
+def test_linkage_forced_star_rounds_equality(corpus, monkeypatch):
+    """``cluster._CC_TASK_GATE`` = 0 forces the clusters stage through the
+    distributed large/small-star rounds instead of the single-task
+    min-label kernel;
     the component assignment must be identical (VERDICT r2 #9).  The
     planted corpus is skewed by construction (clusters up to 4 files plus
     singletons sharing boilerplate tokens)."""
     repos, truth = corpus
     base = record_linkage(repos, threshold=0.7)['clusters'].to_pandas()
-    os.environ['SSJ_CC_TASK_GATE'] = '0'
-    try:
-        forced = record_linkage(repos, threshold=0.7)['clusters'].to_pandas()
-    finally:
-        del os.environ['SSJ_CC_TASK_GATE']
+    monkeypatch.setattr(cluster, '_CC_TASK_GATE', 0)
+    forced = record_linkage(repos, threshold=0.7)['clusters'].to_pandas()
     key = ['repo', 'path', 'commit']
     a = base.sort_values(key).reset_index(drop=True)
     b = forced.sort_values(key).reset_index(drop=True)

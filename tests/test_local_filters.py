@@ -1,10 +1,10 @@
 """Local route of ``filter_tables`` (stages/localjoin.py) vs the Dataset
 route.
 
-Every case runs the SAME ``filter_tables`` call twice —
-SSJ_LOCAL_JOIN=force (one Ray task: tokenize, vocabulary, signature table,
-slim postings, candgen and verify in memory) and SSJ_LOCAL_JOIN=0 (the
-slim-postings Dataset pipeline: postings, candgen and verify shuffles) —
+Every case runs the SAME ``filter_tables`` call twice — with the local
+row cap lifted (one Ray task: tokenize, vocabulary, signature table, slim
+postings, candgen and verify in memory) and closed (the slim-postings
+Dataset pipeline: postings, candgen and verify shuffles) —
 and asserts exact frame equality including dtypes, after dropping the
 order-dependent ``_id`` and sorting.
 """
@@ -60,12 +60,12 @@ def _canon(df):
 
 
 def _both_routes(monkeypatch, routes, call):
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', 'force')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 2 ** 62)
     loc = call()
     assert routes == [True]
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
     dist = call()
-    assert routes == [True], 'SSJ_LOCAL_JOIN=0 still took the local route'
+    assert routes == [True], 'a row cap of 0 took the local route'
     pd.testing.assert_frame_equal(_canon(loc), _canon(dist),
                                   check_dtype=True)
     return loc
@@ -148,9 +148,9 @@ def test_dataset_output_parity(tables, monkeypatch, routes):
         return f.filter_tables(A, B, 'id', 'id', 'txt', 'txt',
                                output='dataset').to_pandas() \
             .sort_values(['l_key', 'r_key']).reset_index(drop=True)
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', 'force')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 2 ** 62)
     loc = call()
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
     dist = call()
     assert routes == [True]
     pd.testing.assert_frame_equal(loc, dist, check_dtype=True)
@@ -191,9 +191,10 @@ def test_byte_cap_falls_back_to_dataset_route(tables, monkeypatch, routes):
                                        preserve_index=False).nbytes
                   for t in (A, B))
     f = OverlapFilter(WS, 2)
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')
+    cap = localjoin.DEFAULT_LOCAL_MAX_ROWS
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
     dist = f.filter_tables(A, B, 'id', 'id', 'txt', 'txt')
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', '1')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', cap)
     monkeypatch.setenv('SSJ_LOCAL_MAX_BYTES', str(2 * fetched))
     got = f.filter_tables(A, B, 'id', 'id', 'txt', 'txt')
     assert routes == [False]
@@ -211,8 +212,8 @@ def test_edit_distance_postings_carry_no_string(tables, monkeypatch, cls,
     tok = QgramTokenizer(qval=2, return_set=False)
     f = cls(tok, 'EDIT_DISTANCE', 2)
     exp = oracle(A, B, 'id', 'id', 'txt', 'txt', tok, 'EDIT_DISTANCE', 2)
-    for route in ('force', '0'):
-        monkeypatch.setenv('SSJ_LOCAL_JOIN', route)
+    for route in (2 ** 62, 0):
+        monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', route)
         out = f.filter_tables(A, B, 'id', 'id', 'txt', 'txt')
         assert set(zip(out['l_id'], out['r_id'])) == exp, route
 
@@ -234,8 +235,7 @@ def test_edit_distance_postings_carry_no_string(tables, monkeypatch, cls,
     arr = [pa.Table.from_pandas(t[['id', 'txt']], preserve_index=False)
            for t in (A, B)]
     pairs, _ = localjoin._local_pairs(
-        arr[0], arr[1], 'id', 'id', 'txt', 'txt', cfg, 2 ** 62,
-        (localjoin._FANOUT_POSTINGS, localjoin._FANOUT_WORK,
-         localjoin._FANOUT_PAIRS))
+        arr[0], arr[1], 'id', 'id', 'txt', 'txt', cfg,
+        dict(localjoin._gates(), byte_cap=2 ** 62))
     assert set(zip(pairs['l_key'], pairs['r_key'])) == exp
     assert len(columns) == 2 and all('s' not in c for c in columns)

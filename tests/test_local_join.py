@@ -1,7 +1,7 @@
 """Local fast path (stages/localjoin.py) vs the distributed pipeline.
 
-Every case runs the SAME join twice — SSJ_LOCAL_JOIN=force (in-process
-kernels) and SSJ_LOCAL_JOIN=0 (the full Dataset pipeline) — and asserts
+Every case runs the SAME join twice — the local row cap lifted (in-process
+kernels) and closed (the full Dataset pipeline) — and asserts
 exact frame equality including dtypes.  The local path reuses the
 distributed stages' kernels, so any divergence is a routing bug.
 """
@@ -38,9 +38,9 @@ def _canon(df):
 
 
 def _both_paths(monkeypatch, fn, *args, **kwargs):
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', 'force')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 2 ** 62)
     loc = fn(*args, **kwargs)
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
     dist = fn(*args, **kwargs)
     pd.testing.assert_frame_equal(_canon(loc), _canon(dist),
                                   check_dtype=True)
@@ -149,10 +149,10 @@ def test_dataset_io_parity(tables, monkeypatch, ray_session):
     dsA = ray.data.from_pandas(A.dropna(subset=['txt']))
     dsB = ray.data.from_pandas(B.dropna(subset=['txt']))
     tok = WhitespaceTokenizer(return_set=True)
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', 'force')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 2 ** 62)
     loc = join.jaccard_join(dsA, dsB, 'id', 'id', 'txt', 'txt', tok, 0.3,
                             output='dataset', validate_keys=False)
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
     dist = join.jaccard_join(dsA, dsB, 'id', 'id', 'txt', 'txt', tok, 0.3,
                              output='dataset', validate_keys=False)
     lp = loc.to_pandas().sort_values(['l_key', 'r_key']).reset_index(drop=True)
@@ -174,7 +174,7 @@ def test_fanout_thresholds(tables, monkeypatch, ray_session):
     # equality against the inline branch
     A, B = tables
     tok = WhitespaceTokenizer(return_set=True)
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', 'force')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 2 ** 62)
     base = join.jaccard_join(A, B, 'id', 'id', 'txt', 'txt', tok, 0.3)
     monkeypatch.setattr(localjoin, '_FANOUT_POSTINGS', 1)
     monkeypatch.setattr(localjoin, '_FANOUT_PAIRS', 1)
@@ -186,17 +186,17 @@ def test_gate_routing(monkeypatch, ray_session):
     cfg = join._JoinConfig('JACCARD', WhitespaceTokenizer(return_set=True),
                            0.5, '>=', True, False, True)
     small = pd.DataFrame({'id': [0], 'txt': ['a']})
-    assert localjoin.local_join_eligible(small, small, cfg, True)
-    monkeypatch.setenv('SSJ_FORCE_DISTRIBUTED', '1')
-    assert not localjoin.local_join_eligible(small, small, cfg, True)
-    monkeypatch.delenv('SSJ_FORCE_DISTRIBUTED')
-    # the filter_tables candidates modes share the gate
-    for mode in ('prefix_candidates', 'position_candidates',
-                 'overlap_candidates'):
+
+    def local(mode):
         cfg.mode = mode
-        assert localjoin.local_join_eligible(small, small, cfg, True)
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')
-    assert not localjoin.local_join_eligible(small, small, cfg, True)
+        return localjoin.local_match_pairs(small, small, 'id', 'id', 'txt',
+                                           'txt', cfg, True) is not None
+    # the filter_tables candidates modes share the gate
+    modes = ('join', 'prefix_candidates', 'position_candidates',
+             'overlap_candidates')
+    assert all(local(m) for m in modes)
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
+    assert not any(local(m) for m in modes)
 
 
 def test_fetch_gate(monkeypatch, ray_session):
@@ -215,7 +215,7 @@ def test_fetch_gate(monkeypatch, ray_session):
     assert localjoin._fetch_local(ds, ['id'], 20_000, 64) is None
     # two-table sum crosses the gate even when each side fits: the join
     # routes to the distributed path and still returns correct output
-    monkeypatch.setenv('SSJ_LOCAL_MAX_ROWS', '3')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 3)
     two = pd.DataFrame({'id': [0, 1], 'txt': ['aa bb', 'cc dd']})
     out = join.jaccard_join(two, two.copy(), 'id', 'id', 'txt', 'txt',
                             WhitespaceTokenizer(return_set=True), 0.9)
@@ -267,9 +267,9 @@ class TestOverlapCountKernel:
         from py_stringsimjoin_ray.pipelines.join import overlap_join
         A, B = self._tables()
         tok = WhitespaceTokenizer(return_set=True)
-        monkeypatch.setenv('SSJ_OVERLAP_COUNT_REL', '1.0')
+        monkeypatch.setattr(localjoin, '_OVERLAP_COUNT_REL', 1.0)
         fast = overlap_join(A, B, 'id', 'id', 's', 's', tok, t, comp_op=op)
-        monkeypatch.setenv('SSJ_OVERLAP_COUNT_REL', '0')
+        monkeypatch.setattr(localjoin, '_OVERLAP_COUNT_REL', 0)
         slow = overlap_join(A, B, 'id', 'id', 's', 's', tok, t, comp_op=op)
         assert self._canon(fast) == self._canon(slow)
         assert len(fast) > 0
@@ -279,9 +279,9 @@ class TestOverlapCountKernel:
         from py_stringsimjoin_ray.pipelines.join import overlap_join
         A, _ = self._tables()
         tok = WhitespaceTokenizer(return_set=True)
-        monkeypatch.setenv('SSJ_OVERLAP_COUNT_REL', '1.0')
+        monkeypatch.setattr(localjoin, '_OVERLAP_COUNT_REL', 1.0)
         fast = overlap_join(A, A, 'id', 'id', 's', 's', tok, t)
-        monkeypatch.setenv('SSJ_OVERLAP_COUNT_REL', '0')
+        monkeypatch.setattr(localjoin, '_OVERLAP_COUNT_REL', 0)
         slow = overlap_join(A, A, 'id', 'id', 's', 's', tok, t)
         assert self._canon(fast) == self._canon(slow)
         pairs = list(zip(fast['l_id'], fast['r_id']))
@@ -298,9 +298,9 @@ class TestOverlapCountKernel:
         A = pd.DataFrame({'id': range(len(rows)), 's': rows})
         B = pd.DataFrame({'id': range(500, 500 + len(rows)), 's': rows})
         tok = WhitespaceTokenizer(return_set=True)
-        monkeypatch.setenv('SSJ_OVERLAP_COUNT_REL', '1.0')
+        monkeypatch.setattr(localjoin, '_OVERLAP_COUNT_REL', 1.0)
         fast = overlap_join(A, B, 'id', 'id', 's', 's', tok, 2)
-        monkeypatch.setenv('SSJ_OVERLAP_COUNT_REL', '0')
+        monkeypatch.setattr(localjoin, '_OVERLAP_COUNT_REL', 0)
         slow = overlap_join(A, B, 'id', 'id', 's', 's', tok, 2)
         assert self._canon(fast) == self._canon(slow)
         pairs = list(zip(fast['l_id'], fast['r_id']))
@@ -317,14 +317,14 @@ class TestOverlapCountKernel:
         A['s'] = 'stopword ' + A['s']
         B['s'] = 'stopword ' + B['s']
         tok = WhitespaceTokenizer(return_set=True)
-        monkeypatch.setenv('SSJ_OVERLAP_COUNT_MAX_INC', '1000')
+        monkeypatch.setattr(localjoin, '_OVERLAP_COUNT_MAX_INC', 1000)
         routed = []
         orig = localjoin._overlap_count_pairs
         monkeypatch.setattr(localjoin, '_overlap_count_pairs',
                             lambda *a, **k: routed.append(1) or orig(*a, **k))
         capped = overlap_join(A, B, 'id', 'id', 's', 's', tok, 2)
         assert not routed, 'counting kernel routed past the incidence cap'
-        monkeypatch.setenv('SSJ_OVERLAP_COUNT_MAX_INC', '1000000000')
+        monkeypatch.setattr(localjoin, '_OVERLAP_COUNT_MAX_INC', 1e9)
         counted = overlap_join(A, B, 'id', 'id', 's', 's', tok, 2)
         assert routed
         assert self._canon(capped) == self._canon(counted)

@@ -66,11 +66,11 @@ def test_local_route_equals_dataset_route(corpus, tmp_path, monkeypatch,
     ck_local = str(tmp_path / 'local') if checkpointed else None
     ck_ds = str(tmp_path / 'ds') if checkpointed else None
     local = record_linkage(corpus, checkpoint_dir=ck_local)
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
     ds = record_linkage(corpus, checkpoint_dir=ck_ds)
     assert local['counters']['route'] == 'local'
     assert ds['counters']['route'] == 'dataset'
-    assert ds['counters']['route_gate']['reason'] == 'flags'
+    assert ds['counters']['route_gate']['reason'] == 'size'
     for c in (local['counters'], ds['counters']):
         assert c['sha256_invariant_ok']
     for k in ('num_matches', 'num_records'):
@@ -108,7 +108,7 @@ def test_cross_route_resume(corpus, tmp_path, monkeypatch, writer, resumer):
     def run():
         with monkeypatch.context() as m:
             if route == 'dataset':
-                m.setenv('SSJ_LOCAL_JOIN', '0')
+                m.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
             res = record_linkage(corpus, checkpoint_dir=ckpt)
         assert res['counters']['route'] == route
         return res
@@ -181,7 +181,7 @@ def test_local_route_runs_no_dataset_plan(corpus, tmp_path, monkeypatch):
     _same_partition(_frame(plain), _frame(checkpointed))
 
 
-@pytest.mark.parametrize('env', [{'SSJ_FORCE_DISTRIBUTED': '1'},
+@pytest.mark.parametrize('env', [{'DEFAULT_LOCAL_MAX_ROWS': 0},
                                  {'SSJ_LOCAL_MAX_BYTES': '1000'}])
 def test_dataset_route_when_gate_rejects(corpus, monkeypatch, env):
     base = _frame(record_linkage(corpus))
@@ -193,16 +193,17 @@ def test_dataset_route_when_gate_rejects(corpus, monkeypatch, env):
         return real(*a, **k)
     monkeypatch.setattr(localjoin, '_fetch_local', spy)
     for k, v in env.items():
-        monkeypatch.setenv(k, v)
+        if k.startswith('SSJ_'):
+            monkeypatch.setenv(k, v)
+        else:
+            monkeypatch.setattr(localjoin, k, v)
     res = record_linkage(corpus)
     assert res['counters']['route'] == 'dataset'
     gate = res['counters']['route_gate']
+    # decided from the footers: the join does not probe again
+    assert gate['reason'] == 'size' and calls == []
     if 'SSJ_LOCAL_MAX_BYTES' in env:
-        # decided from the footers: the join does not probe again
-        assert gate['reason'] == 'size' and gate['content_bytes'] > 1000
-        assert calls == []
-    else:
-        assert gate['reason'] == 'flags'
+        assert gate['content_bytes'] > 1000
     assert res['counters']['sha256_invariant_ok']
     _same_partition(base, _frame(res))
 
@@ -210,8 +211,8 @@ def test_dataset_route_when_gate_rejects(corpus, monkeypatch, env):
 @pytest.mark.parametrize('checkpointed', [False, True])
 def test_cc_gate_falls_back_to_star_rounds(corpus, tmp_path, monkeypatch,
                                            checkpointed):
-    """SSJ_CC_TASK_GATE=0: the local task stops before the clusters stage
-    and the Dataset route's large/small-star rounds build them, starting
+    """``cluster._CC_TASK_GATE`` = 0: the local task stops before the
+    clusters stage and the Dataset route's large/small-star rounds build them, starting
     from the ingest and matches the task made: handed over in memory, or
     resumed from the stages the task wrote.  The corpus is joined once."""
     base = _frame(record_linkage(corpus))
@@ -226,7 +227,7 @@ def test_cc_gate_falls_back_to_star_rounds(corpus, tmp_path, monkeypatch,
                         spy(rounds, linkage.connected_components))
     monkeypatch.setattr(linkage, 'match_pairs_dataset',
                         spy(joins, linkage.match_pairs_dataset))
-    monkeypatch.setenv('SSJ_CC_TASK_GATE', '0')
+    monkeypatch.setattr(cluster, '_CC_TASK_GATE', 0)
     ckpt = str(tmp_path / 'ckpt') if checkpointed else None
     res = record_linkage(corpus, checkpoint_dir=ckpt)
     c = res['counters']
@@ -243,8 +244,7 @@ def test_cc_gate_falls_back_to_star_rounds(corpus, tmp_path, monkeypatch,
 def test_payload_check_falls_back(corpus, monkeypatch):
     """The footer figure passes but the exact Arrow payload does not: the
     task hands the call to the Dataset route without its probe."""
-    gate = linkage._route_gate(corpus, linkage._JoinConfig(
-        'JACCARD', None, 0.7, '>=', False, False, True))
+    gate = linkage._route_gate(corpus, localjoin._gates())
     monkeypatch.setenv('SSJ_LOCAL_MAX_BYTES', str(gate['content_bytes']))
     calls = []
     monkeypatch.setattr(localjoin, '_fetch_local',

@@ -7,6 +7,7 @@ from py_stringsimjoin_ray import (OverlapFilter, WhitespaceTokenizer,
                                   profile_counts, profile_table_for_join,
                                   series_to_str)
 from py_stringsimjoin_ray.core import measures
+from py_stringsimjoin_ray.stages import attach
 
 WS = WhitespaceTokenizer(return_set=True)
 
@@ -175,14 +176,11 @@ def _matcher_all_paths(A, B, **kw):
                'A.ID', 'B.ID', 'A.name', 'B.name', WS, measures.jaccard, 0.3)
     results['dataset_io'] = apply_matcher(*ds_args, output='dataset',
                                           **kw).to_pandas()
-    import os
-    os.environ['SSJ_ATTACH_FORCE_DIST'] = '1'
-    try:
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(attach, '_BUCKETED_ONLY', True)
         results['forced_dist'] = apply_matcher(*args, **kw)
         results['forced_dist_dataset'] = apply_matcher(
             *args, output='dataset', **kw).to_pandas()
-    finally:
-        del os.environ['SSJ_ATTACH_FORCE_DIST']
     for name, df in results.items():
         pd.testing.assert_frame_equal(norm(df), norm(base),
                                       check_like=True, obj=name)
@@ -198,21 +196,17 @@ def test_apply_matcher_regime_equality(person_tables):
     assert len(base) > 0
 
 
-def test_apply_matcher_forced_dist_keyerror(person_tables):
+def test_apply_matcher_forced_dist_keyerror(person_tables, monkeypatch):
     """The hash-join regime preserves the KeyError on candset keys absent
     from the input tables."""
-    import os
     A, B = person_tables
     cand = pd.DataFrame({'_id': [0], 'l_A.ID': ['zz_missing'],
                          'r_B.ID': ['b1']})
-    os.environ['SSJ_ATTACH_FORCE_DIST'] = '1'
-    try:
-        with pytest.raises(Exception) as ei:
-            apply_matcher(cand, 'l_A.ID', 'r_B.ID', A, B, 'A.ID', 'B.ID',
-                          'A.name', 'B.name', WS, measures.jaccard, 0.3)
-        assert 'not present' in str(ei.value)
-    finally:
-        del os.environ['SSJ_ATTACH_FORCE_DIST']
+    monkeypatch.setattr(attach, '_BUCKETED_ONLY', True)
+    with pytest.raises(Exception) as ei:
+        apply_matcher(cand, 'l_A.ID', 'r_B.ID', A, B, 'A.ID', 'B.ID',
+                      'A.name', 'B.name', WS, measures.jaccard, 0.3)
+    assert 'not present' in str(ei.value)
 
 
 def test_apply_matcher_dataset_streaming_no_driver_collect(person_tables):
@@ -230,23 +224,18 @@ def test_apply_matcher_dataset_streaming_no_driver_collect(person_tables):
     assert (df['_sim_score'] >= 0.3).all()
 
 
-def test_apply_matcher_salted_attach_equality(person_tables):
-    """SSJ_ATTACH_SALT>1 replicates side rows across sub-buckets (skew
-    hardening); the attached result must be identical."""
-    import os
+def test_apply_matcher_salted_attach_equality(person_tables, monkeypatch):
+    """``attach._ATTACH_SALT`` > 1 replicates side rows across sub-buckets
+    (skew hardening); the attached result must be identical."""
     A, B = person_tables
     base = _matcher_all_paths(A, B, l_out_attrs=['A.name'])
-    os.environ['SSJ_ATTACH_FORCE_DIST'] = '1'
-    os.environ['SSJ_ATTACH_SALT'] = '4'
-    try:
-        cand = make_candset(A, B)
-        salted = apply_matcher(cand, 'l_A.ID', 'r_B.ID', A, B, 'A.ID',
-                               'B.ID', 'A.name', 'B.name', WS,
-                               measures.jaccard, 0.3,
-                               l_out_attrs=['A.name'])
-    finally:
-        os.environ.pop('SSJ_ATTACH_FORCE_DIST', None)
-        os.environ.pop('SSJ_ATTACH_SALT', None)
+    monkeypatch.setattr(attach, '_BUCKETED_ONLY', True)
+    monkeypatch.setattr(attach, '_ATTACH_SALT', 4)
+    cand = make_candset(A, B)
+    salted = apply_matcher(cand, 'l_A.ID', 'r_B.ID', A, B, 'A.ID',
+                           'B.ID', 'A.name', 'B.name', WS,
+                           measures.jaccard, 0.3,
+                           l_out_attrs=['A.name'])
     pd.testing.assert_frame_equal(
         salted.sort_values('_id').reset_index(drop=True),
         base.sort_values('_id').reset_index(drop=True), check_like=True)

@@ -18,6 +18,7 @@ import pandas as pd
 
 from py_stringsimjoin_ray import (PrefixFilter, WhitespaceTokenizer,
                                   edit_distance_join)
+from py_stringsimjoin_ray.stages import localjoin
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -44,6 +45,8 @@ ray.init(address='local', num_cpus=1, include_dashboard=False,
 DataContext.get_current().enable_progress_bars = False
 from py_stringsimjoin_ray import (PrefixFilter, WhitespaceTokenizer,
                                   edit_distance_join)
+from py_stringsimjoin_ray.stages import localjoin
+localjoin.DEFAULT_LOCAL_MAX_ROWS = 0  # the Dataset route
 t = {k: pd.DataFrame(v) for k, v in json.loads(sys.stdin.read()).items()}
 ed = edit_distance_join(t['A'], t['B'], 'id', 'id', 's', 's', 1)
 pf = PrefixFilter(WhitespaceTokenizer(return_set=True), 'JACCARD',
@@ -66,7 +69,7 @@ def _local(ed, pf):
 
 
 def test_dataset_route_runs_on_one_cpu(ray_session, monkeypatch):
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', 'force')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 2 ** 62)
     exp = _local(edit_distance_join(A, B, 'id', 'id', 's', 's', 1),
                  PrefixFilter(WhitespaceTokenizer(return_set=True),
                               'JACCARD', 0.5).filter_tables(
@@ -74,7 +77,6 @@ def test_dataset_route_runs_on_one_cpu(ray_session, monkeypatch):
     assert exp['ed'] and exp['prefix']
 
     env = {k: v for k, v in os.environ.items() if k != 'RAY_ADDRESS'}
-    env['SSJ_LOCAL_JOIN'] = '0'
     env['PYTHONPATH'] = os.pathsep.join(
         [ROOT] + [p for p in [env.get('PYTHONPATH')] if p])
     tables = {name: t.to_dict(orient='list') for name, t in

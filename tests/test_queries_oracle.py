@@ -103,3 +103,61 @@ def test_entry_smoke():
     df = out.to_pandas() if not isinstance(out, pd.DataFrame) else out
     assert len(df) > 0
     assert set(df.columns) == {'doc_id', 'cluster'}
+
+
+# The regime-pinning queries: both regimes give the oracle's rows, so an
+# oracle match alone would not notice a pin that stopped working.  Each test
+# spies on the pinned regime's entry point, and checks that the pin leaves
+# the process environment as it found it.
+
+def _spy(monkeypatch, module, name, seen, result=False):
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append(out if result else 1)
+        return out
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_two_relation_query_takes_the_dataset_route(monkeypatch):
+    from py_stringsimjoin_ray.pipelines import queries
+    from py_stringsimjoin_ray.stages import localjoin, slimjoin
+    local, slim = [], []
+    _spy(monkeypatch, localjoin, 'local_match_pairs', local)
+    _spy(monkeypatch, slimjoin, 'slim_match_pairs', slim)
+    env, cap = dict(os.environ), localjoin.DEFAULT_LOCAL_MAX_ROWS
+    assert len(queries.q_jaccard_two_relation_part(SF_DIR)) > 0
+    assert local == [] and slim == [1]
+    assert dict(os.environ) == env
+    assert localjoin.DEFAULT_LOCAL_MAX_ROWS == cap
+
+
+def test_overlap_candgen_query_skips_the_counting_kernel(monkeypatch):
+    from py_stringsimjoin_ray.pipelines import queries
+    from py_stringsimjoin_ray.stages import localjoin
+    counted = []
+    _spy(monkeypatch, localjoin, '_overlap_count_pairs', counted)
+    # the sf0.001 names have 2 tokens, so threshold 2 routes to the
+    # counting kernel only under a relative gate of 1.0: the unpinned
+    # query takes it there, the pinned one must not
+    monkeypatch.setattr(localjoin, '_OVERLAP_COUNT_REL', 1.0)
+    assert len(queries.q_overlap_join_part(SF_DIR)) > 0
+    assert counted == [1]
+    env = dict(os.environ)
+    assert len(queries.q_overlap_join_candgen_part(SF_DIR)) > 0
+    assert counted == [1]
+    assert dict(os.environ) == env
+    assert localjoin._OVERLAP_COUNT_REL == 1.0
+
+
+def test_matcher_dist_query_plans_the_bucketed_attach(monkeypatch):
+    from py_stringsimjoin_ray.pipelines import matcher, queries
+    from py_stringsimjoin_ray.stages import attach
+    plans = []
+    _spy(monkeypatch, matcher, 'plan_side', plans, result=True)
+    env = dict(os.environ)
+    assert len(queries.q_apply_matcher_dist_part(SF_DIR)) > 0
+    assert [p[0] for p in plans] == ['dataset', 'dataset']
+    assert dict(os.environ) == env
+    assert attach._BUCKETED_ONLY is False

@@ -1,8 +1,7 @@
 """Dataset-route coverage of the slim join: small inputs take the local
-route, so these tests force the Dataset route (SSJ_FORCE_DISTRIBUTED or
-SSJ_LOCAL_JOIN=0) and pin its pair set to the local route's — with the
-one Tsig shard a small input folds into, and with many shards (a tiny
-SSJ_SHARD_TARGET_BYTES)."""
+route, so these tests force the Dataset route (a local row cap of 0) and
+pin its pair set to the local route's — with the one Tsig shard a small
+input folds into, and with many shards (a tiny ``_SHARD_TARGET_BYTES``)."""
 
 import numpy as np
 import pandas as pd
@@ -10,6 +9,8 @@ import pytest
 
 from py_stringsimjoin_ray import (QgramTokenizer, WhitespaceTokenizer,
                                   edit_distance_join, jaccard_join)
+from py_stringsimjoin_ray.pipelines import join
+from py_stringsimjoin_ray.stages import localjoin, slimjoin
 
 
 @pytest.fixture
@@ -26,7 +27,7 @@ def test_distributed_path_matches_broadcast(parts, monkeypatch):
     tok = WhitespaceTokenizer(return_set=True)
     base = jaccard_join(parts, parts, 'p_partkey', 'p_partkey', 'p_name',
                         'p_name', tok, 0.5)
-    monkeypatch.setenv('SSJ_FORCE_DISTRIBUTED', '1')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
     dist = jaccard_join(parts, parts, 'p_partkey', 'p_partkey', 'p_name',
                         'p_name', tok, 0.5)
     assert _pairs(base) == _pairs(dist)
@@ -37,7 +38,7 @@ def test_distributed_path_edit_distance(monkeypatch):
     cust = cust[['c_custkey', 'c_name']].head(300).copy()
     base = edit_distance_join(cust, cust, 'c_custkey', 'c_custkey',
                               'c_name', 'c_name', 2)
-    monkeypatch.setenv('SSJ_FORCE_DISTRIBUTED', '1')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
     dist = edit_distance_join(cust, cust, 'c_custkey', 'c_custkey',
                               'c_name', 'c_name', 2)
     cols = ('l_c_custkey', 'r_c_custkey', '_sim_score')
@@ -53,7 +54,7 @@ def test_distributed_path_two_table_string_keys(monkeypatch):
                             for i in range(40)]})
     tok = WhitespaceTokenizer(return_set=True)
     base = jaccard_join(A, B, 'id', 'id', 's', 's', tok, 0.5)
-    monkeypatch.setenv('SSJ_FORCE_DISTRIBUTED', '1')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
     dist = jaccard_join(A, B, 'id', 'id', 's', 's', tok, 0.5)
     cols = ('l_id', 'r_id', '_sim_score')
     assert _pairs(base, cols) == _pairs(dist, cols)
@@ -78,7 +79,8 @@ def test_distributed_ordering_matches_default(parts, monkeypatch):
     tok = WhitespaceTokenizer(return_set=True)
     base = jaccard_join(parts, parts, 'p_partkey', 'p_partkey', 'p_name',
                         'p_name', tok, 0.5)
-    monkeypatch.setenv('SSJ_DISTRIBUTED_ORDERING', '1')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
+    monkeypatch.setattr(join, '_DISTRIBUTED_ORDERING', True)
     dist = jaccard_join(parts, parts, 'p_partkey', 'p_partkey', 'p_name',
                         'p_name', tok, 0.5)
     assert _pairs(base) == _pairs(dist)
@@ -90,7 +92,8 @@ def test_distributed_ordering_with_salting_and_strings(monkeypatch):
     tok = WhitespaceTokenizer(return_set=True)
     base = jaccard_join(docs, docs, 'doc_id', 'doc_id', 'text', 'text',
                         tok, 0.6, salt_df_threshold=20)
-    monkeypatch.setenv('SSJ_DISTRIBUTED_ORDERING', '1')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
+    monkeypatch.setattr(join, '_DISTRIBUTED_ORDERING', True)
     dist = jaccard_join(docs, docs, 'doc_id', 'doc_id', 'text', 'text',
                         tok, 0.6, salt_df_threshold=20)
     cols = ('l_doc_id', 'r_doc_id', '_sim_score')
@@ -129,7 +132,7 @@ def test_self_join_exact_duplicates_counted_once(tmp_path, monkeypatch):
     # C(4,2) + C(3,2) = 6 + 3 = 9 exact-dup pairs, no cross matches
     assert res['counters']['num_matches'] == 9
 
-    monkeypatch.setenv('SSJ_FORCE_DISTRIBUTED', '1')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
     res_d = record_linkage(path, checkpoint_dir=None, threshold=0.7)
     assert res_d['counters']['num_matches'] == 9
 
@@ -141,7 +144,8 @@ def test_expand_slab_boundary_duplicate_class(monkeypatch):
     self-join upper triangle and the same-relation mirror)."""
     from py_stringsimjoin_ray.stages import slimjoin
     monkeypatch.setattr(slimjoin, '_EXPAND_SLAB', 7)
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')  # force the slim pipeline
+    # force the slim pipeline
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
     # 12 identical records (one sig class, 144 expanded rows) + distinct
     A = pd.DataFrame({'id': range(20),
                       's': ['same tokens here'] * 12
@@ -155,7 +159,7 @@ def test_expand_slab_boundary_duplicate_class(monkeypatch):
 
 
 def test_small_dataset_route_join_builds_one_shard(parts, monkeypatch):
-    """Below SSJ_SHARD_TARGET_BYTES the Dataset route folds the whole
+    """Below ``_SHARD_TARGET_BYTES`` the Dataset route folds the whole
     signature table into ONE shard, and its pair set is the local
     route's."""
     import py_stringsimjoin_ray.stages.slimjoin as sj
@@ -170,7 +174,7 @@ def test_small_dataset_route_join_builds_one_shard(parts, monkeypatch):
         built.append((nshards, len(out[0])))
         return out
     monkeypatch.setattr(sj, 'collect_tsig_shards', counted)
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
     dist = jaccard_join(parts, parts, 'p_partkey', 'p_partkey', 'p_name',
                         'p_name', tok, 0.5)
     assert built == [(1, 1)]
@@ -203,7 +207,7 @@ def test_plan_restores_caller_data_context(parts, monkeypatch):
         raise RuntimeError('plan build failed')
 
     tok = WhitespaceTokenizer(return_set=True)
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
     try:
         ctx.shuffle_strategy, ctx.op_resource_reservation_enabled = caller
         monkeypatch.setattr(sj, 'collect_tsig_shards', observed)
@@ -229,9 +233,8 @@ def test_sharded_path_many_shards(parts, monkeypatch):
     tok = WhitespaceTokenizer(return_set=True)
     base = jaccard_join(parts, parts.copy(), 'p_partkey', 'p_partkey',
                         'p_name', 'p_name', tok, 0.5)
-    monkeypatch.setenv('SSJ_FORCE_DISTRIBUTED', '1')
-    monkeypatch.setenv('SSJ_SHARD_TARGET_BYTES', '2000')
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
+    monkeypatch.setattr(slimjoin, '_SHARD_TARGET_BYTES', 2000)
     sharded = jaccard_join(parts, parts.copy(), 'p_partkey', 'p_partkey',
                            'p_name', 'p_name', tok, 0.5)
     assert _pairs(base) == _pairs(sharded)
@@ -239,17 +242,18 @@ def test_sharded_path_many_shards(parts, monkeypatch):
 
 def test_ed_ordering_auto_routes_past_partial_gate(monkeypatch):
     """VERDICT r4 #5: an EDIT_DISTANCE join whose vocabulary-partial volume
-    exceeds SSJ_ORDERING_PARTIAL_GATE must auto-route to the distributed
+    exceeds ``join._ORDERING_PARTIAL_GATE`` must auto-route to the distributed
     ordering (driver never merges the partials) and still produce the
     identical pair set."""
     cust = pd.read_parquet('/root/testdata/sf0.001/customer.parquet')
     cust = cust[['c_custkey', 'c_name']].head(300).copy()
     tok = QgramTokenizer(qval=2, return_set=False)
     from py_stringsimjoin_ray.pipelines.join import edit_distance_join
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')  # exercise the gated path
+    # exercise the gated path
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
     base = edit_distance_join(cust, cust, 'c_custkey', 'c_custkey',
                               'c_name', 'c_name', 2, tokenizer=tok)
-    monkeypatch.setenv('SSJ_ORDERING_PARTIAL_GATE', '1')  # force the route
+    monkeypatch.setattr(join, '_ORDERING_PARTIAL_GATE', 1)  # force it
     import py_stringsimjoin_ray.pipelines.join as join_mod
     took_route = []
     orig = join_mod._dist_ordering_pairs
@@ -271,9 +275,8 @@ def test_sharded_path_shard_count_beyond_old_cap(parts, monkeypatch):
     tok = WhitespaceTokenizer(return_set=True)
     base = jaccard_join(parts, parts.copy(), 'p_partkey', 'p_partkey',
                         'p_name', 'p_name', tok, 0.5)
-    monkeypatch.setenv('SSJ_FORCE_DISTRIBUTED', '1')
-    monkeypatch.setenv('SSJ_SHARD_TARGET_BYTES', '1')
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
+    monkeypatch.setattr(slimjoin, '_SHARD_TARGET_BYTES', 1)
     sharded = jaccard_join(parts, parts.copy(), 'p_partkey', 'p_partkey',
                            'p_name', 'p_name', tok, 0.5)
     assert _pairs(base) == _pairs(sharded)
@@ -286,7 +289,7 @@ def test_candgen_parts_scale_with_sigs(parts, monkeypatch):
     tok = WhitespaceTokenizer(return_set=True)
     base = jaccard_join(parts, parts.copy(), 'p_partkey', 'p_partkey',
                         'p_name', 'p_name', tok, 0.5)
-    monkeypatch.setenv('SSJ_LOCAL_JOIN', '0')
+    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
     monkeypatch.setattr(sj, '_candgen_parts', lambda n: 1024)
     many = jaccard_join(parts, parts.copy(), 'p_partkey', 'p_partkey',
                         'p_name', 'p_name', tok, 0.5)
