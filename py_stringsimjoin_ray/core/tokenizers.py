@@ -26,7 +26,6 @@ from __future__ import annotations
 import re
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -65,17 +64,20 @@ def _drop_empty(lists: pa.ListArray) -> pa.ListArray:
 
 
 def _dedup_lists(lists: pa.ListArray) -> pa.ListArray:
-    """Vectorized first-occurrence per-row dedup: one C-level hash pass over
-    the flat (row, token) pairs instead of a Python set walk per row."""
+    """Vectorized first-occurrence per-row dedup: one dictionary encode of
+    the flat tokens, then one ``np.unique`` over ``row * V + id`` whose
+    first-occurrence indices are the values to keep."""
     if len(lists.values) == 0:
         return lists
-    dup = pd.DataFrame(
-        {'r': _row_ids(lists),
-         't': lists.values.to_numpy(zero_copy_only=False)}
-    ).duplicated().to_numpy()
-    if not dup.any():
+    enc = pc.dictionary_encode(lists.values)
+    nvals = np.int64(max(1, len(enc.dictionary)))
+    key = _row_ids(lists) * nvals + enc.indices.to_numpy()
+    _, first = np.unique(key, return_index=True)
+    if len(first) == len(key):
         return lists
-    return _rebuild(lists, ~dup)
+    keep = np.zeros(len(key), bool)
+    keep[first] = True
+    return _rebuild(lists, keep)
 
 
 class Tokenizer:
@@ -151,6 +153,28 @@ def has_arrow_kernel(tokenizer) -> bool:
         return owner('tokenize_arrow') < owner('tokenize')
     raw_arrow = owner('_raw_tokenize_arrow')
     return mro[raw_arrow] is Tokenizer or raw_arrow <= owner('_raw_tokenize')
+
+
+def token_lists(tokenizer, col: pa.Array) -> tuple[pa.ListArray, bool]:
+    """``(lists, drop)``: one token list per string of ``col`` (nulls
+    masked by the caller), as ``TokenizeStage`` makes them, except that
+    with ``drop`` the repeats a set tokenizer's ``tokenize_arrow`` removes
+    are still there for the caller to remove (``_dedup_lists`` on strings,
+    or one ``np.unique`` on int ids).  Tokenizers without an Arrow kernel
+    (``has_arrow_kernel``) tokenize one string at a time."""
+    if not has_arrow_kernel(tokenizer):
+        tk = tokenizer.tokenize
+        return pa.array([tk(s) for s in col.to_pylist()],
+                        type=pa.list_(pa.string())), False
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if getattr(type(tokenizer), 'tokenize_arrow',
+               None) is not Tokenizer.tokenize_arrow:
+        return tokenizer.tokenize_arrow(col), False
+    lists = tokenizer._raw_tokenize_arrow(col)
+    if isinstance(lists, pa.ChunkedArray):
+        lists = lists.combine_chunks()
+    return lists, tokenizer.return_set
 
 
 class WhitespaceTokenizer(Tokenizer):

@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray
 import ray.data
@@ -35,9 +34,9 @@ import ray.data
 from ..core import measures
 from ..core import validation as V
 from ..core.comp_ops import COMP_OP_MAP
-from ..core.tokenizers import has_arrow_kernel
 from ..stages.attach import (arrow_schema_of, broadcast_map,
                              bucketed_attach, plan_side)
+from ..stages.tokenize import token_ids
 from .join import _remove_redundant_attrs, _to_dataset, output_header
 
 # sim functions the engine can score with its own vectorized token-set
@@ -69,27 +68,20 @@ def _gather_csr(flat: np.ndarray, off: np.ndarray, codes: np.ndarray,
 
 def _token_ids(strings: np.ndarray, tokenizer):
     """Each string's DISTINCT tokens as int ids, CSR by string →
-    (flat ids, per-string counts, vocabulary size).  Tokenizers with an
-    Arrow kernel (``has_arrow_kernel``, the rule of ``TokenizeStage``) split
-    every string in one call; ids come from one dictionary encode and the
-    repeats within a string drop with one ``np.unique`` over
-    ``row * V + id`` (rows then hold their ids sorted, which no set
-    measure sees).  Other tokenizers, and values Arrow cannot take as
-    strings, tokenize one string at a time."""
-    if has_arrow_kernel(tokenizer):
-        try:
-            col = pa.array(strings)
-        except (pa.ArrowInvalid, pa.ArrowTypeError):  # mixed value types
-            col = None
-        # non-string values take the per-string path, which raises
-        if col is not None and pa.types.is_string(col.type):
-            lists = tokenizer.tokenize_arrow(col)
-            enc = pc.dictionary_encode(lists.flatten())
-            V_ = max(1, len(enc.dictionary))
-            row = pc.list_parent_indices(lists).to_numpy().astype(np.int64)
-            key = np.unique(row * V_ + enc.indices.to_numpy())
-            lens = np.bincount(key // V_, minlength=len(strings))
-            return key % V_, lens, V_
+    (flat ids, per-string counts, vocabulary size): one
+    ``stages.tokenize.token_ids`` call, whose single dictionary encode and
+    ``np.unique`` over ``row * V + id`` also drop the repeats within a
+    string (rows then hold their ids sorted, which no set measure sees).
+    Values Arrow cannot take as strings tokenize one at a time, so the
+    tokenizer decides what they give (the built-in ones raise)."""
+    try:
+        col = pa.array(strings)
+    except (pa.ArrowInvalid, pa.ArrowTypeError):  # mixed value types
+        col = None
+    if col is not None and pa.types.is_string(col.type):
+        [(lens, ids)], dictionary, _ = token_ids([col], tokenizer,
+                                                 distinct=True)
+        return ids, lens, max(1, len(dictionary))
     tok_lists = [list(dict.fromkeys(tokenizer.tokenize(s)))
                  for s in strings]
     lens = np.fromiter((len(t) for t in tok_lists), np.int64,

@@ -12,10 +12,13 @@ kernels on in-memory Arrow tables, fanning the heavy step out to plain
 Ray tasks when the work is large enough to parallelize — no Dataset
 machinery, so the whole call is kernel-bound.
 
-One body, ``_local_pairs``, serves every mode: ``TokenizeStage`` -> rank
-lookup -> ``RankPrefixStage`` -> ``SigStage`` -> Tsig fold
-(``_local_tsig``) -> ``SlimPostingsStage`` -> ``_np_candidates`` ->
-``np.unique`` -> ``BroadcastVerify``, with ``cfg.mode`` selecting the
+One body, ``_local_pairs``, serves every mode: int token ids
+(``_local_ranked``: one dictionary encode of both sides' tokens, one sort
+of the dictionary into ranks, one sort of each row's ranks — the table
+``TokenizeStage`` -> vocabulary -> ``RankPrefixStage`` builds on the
+Dataset route, with no token string after the split) -> ``SigStage`` ->
+Tsig fold (``_local_tsig``) -> ``SlimPostingsStage`` -> ``_np_candidates``
+-> ``np.unique`` -> ``BroadcastVerify``, with ``cfg.mode`` selecting the
 candgen gates and the verify predicate (``stages/slimjoin.py``):
 
 * joins run it on the driver; ``record_linkage`` below the same caps runs
@@ -38,11 +41,12 @@ environment knob, read in ``_local_byte_cap`` and nowhere else.
 
 Output parity: candidate recall is guaranteed for ANY consistent global
 token order by prefix-filter theory (verification is exact), so set
-measure joins break count ties by token hash; EDIT_DISTANCE joins — whose
-approximate recall DOES depend on the order — and the candidates modes,
-whose output IS the order-dependent candidate set, use the same
-(count asc, token asc) ordering as the Dataset route's
-``make_rank_lookup(tie='token')``.
+measure joins break count ties by token hash, as the Dataset route's
+``fused_rank_lookup`` does; EDIT_DISTANCE joins — whose approximate recall
+DOES depend on the order — and the candidates modes, whose output IS the
+order-dependent candidate set, break them by token bytes, the
+(count asc, token asc) ordering of the Dataset route's
+``make_rank_lookup`` (``postings.dictionary_ranks``).
 """
 
 from __future__ import annotations
@@ -57,10 +61,10 @@ import pyarrow.compute as pc
 import ray
 
 from ..core.comp_ops import COMP_OP_MAP
-from .postings import RankPrefixStage, heavy_token_table, make_rank_lookup
+from .postings import MAX_GRID, _heavy_from_rc, dictionary_ranks, rank_rows
 from .slimjoin import (BroadcastVerify, SigStage, SlimPostingsStage,
                        _fold_tsig, _np_candidates, _pairs_frame)
-from .tokenize import TokenizeStage, partial_token_counts
+from .tokenize import token_ids
 
 DEFAULT_LOCAL_MAX_ROWS = 1_000_000
 # the row cap alone routes by CARDINALITY; the byte cap routes by PAYLOAD —
@@ -174,36 +178,60 @@ def _empty_pairs(mode: str = 'join') -> pd.DataFrame:
                         np.array([], np.float64))
 
 
-def _local_empties(cfg, tok_l: pa.Table, tok_r: pa.Table) -> dict:
+def _local_empties(cfg, ranked_l: pa.Table, ranked_r: pa.Table) -> dict:
     """allow_empty inputs, mirroring join._empty_key_lists semantics."""
     empties: dict = {}
     if cfg.allow_empty and cfg.sim_type not in ('OVERLAP', 'EDIT_DISTANCE') \
             and cfg.mode != 'overlap_candidates':
-        for name, t in (('l', tok_l), ('r', tok_r)):
-            m = pc.equal(pc.list_value_length(t['tokens']), 0)
-            empties[name] = t['key'].filter(m).to_pylist()
+        for name, t in (('l', ranked_l), ('r', ranked_r)):
+            empties[name] = t['key'].filter(pc.equal(t['sz'], 0)).to_pylist()
     return empties
 
 
-def _local_lut(tok_tables: list, cfg):
-    """Vocabulary + ordering artifact, built in-process.  Set-measure joins
-    use the hash tie-break (any consistent order is exact under
-    verification); EDIT_DISTANCE joins and the candidates modes keep the
-    reference's (count, token) order, which their output depends on."""
-    parts = [partial_token_counts(t) for t in tok_tables if len(t)]
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return ({'hashes': np.empty(0, np.uint64),
-                 'ranks': np.empty(0, np.int32)}, {}, 0)
-    merged = pa.concat_tables(parts)
-    agg = merged.group_by('token').aggregate([('partial', 'sum')])
-    freq = pa.table({'token': agg['token'], 'count': agg['partial_sum']})
-    tie = ('hash' if cfg.mode == 'join' and cfg.sim_type != 'EDIT_DISTANCE'
-           else 'token')
-    lut = make_rank_lookup(freq, tie=tie)
-    heavy = heavy_token_table(freq, lut, cfg.salt_df_threshold)
-    tot = int(pc.sum(freq['count']).as_py() or 0)
-    return lut, heavy, tot
+def _local_lut(dictionary: pa.Array, df: np.ndarray, cfg) -> tuple:
+    """Vocabulary + ordering artifact over the one token dictionary of both
+    sides → (rank of each token id, heavy-token table of the ids with
+    ``df >= cfg.salt_df_threshold``).  Set-measure joins use the hash
+    tie-break (any consistent order is exact under verification);
+    EDIT_DISTANCE joins and the candidates modes keep the reference's
+    (count, token) order, which their output depends on."""
+    rank = dictionary_ranks(dictionary, df, by_hash=cfg.mode == 'join'
+                            and cfg.sim_type != 'EDIT_DISTANCE')
+    hot = np.flatnonzero(df >= cfg.salt_df_threshold)
+    heavy = (_heavy_from_rc(np.stack([rank[hot], df[hot]]),
+                            cfg.salt_df_threshold, MAX_GRID)
+             if len(hot) else {})
+    return rank, heavy
+
+
+def _local_ranked(sides: list, cfg) -> tuple:
+    """The ``RankPrefixStage`` table, (key, sz, ranks, plen[, s]), of each
+    ``(table, key_attr, join_attr)`` side, straight from int token ids →
+    (tables, heavy).  Rows whose join value is null drop, as
+    ``TokenizeStage`` drops them; every side encodes against one dictionary
+    (``token_ids``), ranked once by ``_local_lut``, so no token string
+    outlives the split."""
+    keys, cols = [], []
+    for arr, key_attr, join_attr in sides:
+        if arr[join_attr].null_count:
+            arr = arr.filter(arr[join_attr].is_valid())
+        col = arr[join_attr]
+        if pa.types.is_null(col.type):  # all null: empty after the drop
+            col = col.cast(pa.string())
+        keys.append(arr[key_attr])
+        cols.append(col)
+    per_side, dictionary, df = token_ids(cols, cfg.tokenizer)
+    rank, heavy = _local_lut(dictionary, df, cfg)
+    # overlap_candidates posts every token: OVERLAP_COEFFICIENT's prefix is
+    # the whole token list
+    prefix_type = ('OVERLAP_COEFFICIENT' if cfg.mode == 'overlap_candidates'
+                   else cfg.sim_type)
+    tables = [rank_rows(key, lens,
+                        np.repeat(np.arange(len(lens), dtype=np.int64), lens),
+                        rank[ids], prefix_type, cfg.threshold, cfg.qval,
+                        col if cfg.keep_string else None)
+              for key, col, (lens, ids) in zip(keys, cols, per_side)]
+    return tables, heavy
 
 
 def _local_tsig(tagged: pa.Table, same_relation: bool, keep_string: bool):
@@ -507,18 +535,6 @@ def _bucket_chunks(buckets: np.ndarray, cpus: int, min_postings: int,
     return ntasks, assign[np.searchsorted(uniq, buckets)]
 
 
-def _tokenize_sides(arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr,
-                    r_join_attr, cfg):
-    """(tok_l, tok_r); ``arr_r is None`` means the same relation, which is
-    tokenized once."""
-    tok_l = TokenizeStage(l_key_attr, l_join_attr, cfg.tokenizer,
-                          keep_string=cfg.keep_string)(arr_l)
-    if arr_r is None:
-        return tok_l, tok_l
-    return tok_l, TokenizeStage(r_key_attr, r_join_attr, cfg.tokenizer,
-                                keep_string=cfg.keep_string)(arr_r)
-
-
 def _local_pairs(arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr,
                  r_join_attr, cfg, gates: dict):
     """Local body of every mode → (pairs, empties), or None when a
@@ -529,22 +545,15 @@ def _local_pairs(arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr,
     ``gates`` is ``_gates()`` as the caller read it in its own process.
     ``arr_r is None`` means the same relation."""
     same_relation = arr_r is None
-    tok_l, tok_r = _tokenize_sides(arr_l, arr_r, l_key_attr, r_key_attr,
-                                   l_join_attr, r_join_attr, cfg)
-    empties = _local_empties(cfg, tok_l, tok_r)
-    volumes = cfg.skew_volumes
-
-    lut, heavy, _tot = _local_lut([tok_l] if same_relation else
-                                  [tok_l, tok_r], cfg)
-    # overlap_candidates posts every token: OVERLAP_COEFFICIENT's prefix is
-    # the whole token list
-    prefix_type = ('OVERLAP_COEFFICIENT' if cfg.mode == 'overlap_candidates'
-                   else cfg.sim_type)
-    rp = RankPrefixStage(lut, prefix_type, cfg.threshold, cfg.qval,
-                         keep_string=cfg.keep_string)
+    sides = [(arr_l, l_key_attr, l_join_attr)]
+    if not same_relation:
+        sides.append((arr_r, r_key_attr, r_join_attr))
+    tables, heavy = _local_ranked(sides, cfg)
     sig = SigStage(hash_string=cfg.keep_string)
-    ranked_l = sig(rp(tok_l))
-    ranked_r = ranked_l if same_relation else sig(rp(tok_r))
+    ranked_l = sig(tables[0])
+    ranked_r = ranked_l if same_relation else sig(tables[1])
+    empties = _local_empties(cfg, ranked_l, ranked_r)
+    volumes = cfg.skew_volumes
     # the Dataset route's side rule (join.match_pairs_dataset)
     one_side = same_relation and cfg.mode != 'position_candidates'
 

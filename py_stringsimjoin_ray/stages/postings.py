@@ -8,7 +8,10 @@ one-pass ``fused_rank_lookup`` for hash-tie set-measure joins), together
 with the heavy-token table: tokens whose document frequency reaches
 ``salt_df_threshold`` get a g x g salting grid
 (``slimjoin.SlimPostingsStage``).  ``RankPrefixStage`` maps each record's
-tokens to ascending ranks and computes its prefix length.  The postings
+tokens to ascending ranks and computes its prefix length.  The local route
+builds the same rows from int token ids instead: ``dictionary_ranks``
+orders its one token dictionary and ``rank_rows`` (which
+``RankPrefixStage`` ends in too) sorts each row's ranks.  The postings
 themselves are built from the deduplicated signature table by
 ``slimjoin.SlimPostingsStage`` for every join and every ``filter_tables``
 candidates mode.
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..core import bounds
 
@@ -95,7 +99,7 @@ def _token_hashes(values: pa.Array) -> np.ndarray:
     return out['h'].to_numpy().astype(np.uint64)
 
 
-def make_rank_lookup(freq_table: pa.Table, tie: str = 'token') -> dict:
+def make_rank_lookup(freq_table: pa.Table) -> dict:
     """Token→rank lookup built ONCE on the driver as two numpy arrays
     (sorted token hashes + the rank at each hash) — numpy payloads live
     zero-copy in the object store, so every worker on a node shares one
@@ -126,27 +130,7 @@ def make_rank_lookup(freq_table: pa.Table, tie: str = 'token') -> dict:
         pass
     con.register('t_vocab', freq_table)
     # plain ORDER BY (parallel radix sort) + arange ranks — ~6x faster than
-    # the row_number() window over multi-million-token vocabularies.
-    # tie='hash' breaks count ties by token HASH instead of the token string
-    # (radix sort over fixed-width ints, no string comparisons): any
-    # consistent total order yields identical SET-MEASURE join output
-    # because verification is exact (SURVEY.md §2.9 licenses this); filter
-    # modes and EDIT_DISTANCE (whose approximate recall depends on the
-    # reference's (count, token) order) keep tie='token'.
-    if tie == 'hash':
-        # both sorts are DuckDB parallel radix sorts over fixed-width ints;
-        # rowid of the temp table IS the rank (insertion order = rank order)
-        con.execute('CREATE TEMP TABLE t_o1 AS SELECT hash(token) AS h '
-                    'FROM t_vocab ORDER BY count, hash(token)')
-        res = con.execute('SELECT h, CAST(rowid + 1 AS INTEGER) AS rnk '
-                          'FROM t_o1 ORDER BY h').arrow()
-        con.close()
-        sh = res['h'].to_numpy().astype(np.uint64)
-        rnk = res['rnk'].to_numpy().astype(np.int32)
-        if n > 1 and bool((sh[1:] == sh[:-1]).any()):  # pragma: no cover
-            from .tokenize import build_ordering_table
-            return {'tokens': build_ordering_table(freq_table)}
-        return {'hashes': sh, 'ranks': rnk}
+    # the row_number() window over multi-million-token vocabularies
     res = con.execute(
         'SELECT hash(token) AS h FROM t_vocab ORDER BY count, token').arrow()
     con.close()
@@ -158,6 +142,26 @@ def make_rank_lookup(freq_table: pa.Table, tie: str = 'token') -> dict:
         from .tokenize import build_ordering_table
         return {'tokens': build_ordering_table(freq_table)}
     return {'hashes': sh, 'ranks': rnk[order]}
+
+
+def dictionary_ranks(dictionary: pa.Array, df: np.ndarray,
+                     by_hash: bool) -> np.ndarray:
+    """Rank (1 = rarest) of every entry of a token dictionary, from ONE
+    sort of the distinct tokens: ascending ``df``, ties by the token's
+    bytes — ``make_rank_lookup``'s DuckDB ``ORDER BY count, token`` — or,
+    ``by_hash``, by its 64-bit hash, ``fused_rank_lookup``'s order.  Equal
+    hashes stay in dictionary order: the ranks index ids, not hashes, so a
+    collision cannot merge two tokens."""
+    if len(df) == 0:
+        return np.empty(0, np.int64)
+    if by_hash:
+        order = np.lexsort((_token_hashes(dictionary), df))
+    else:
+        by_token = pc.sort_indices(dictionary).to_numpy()
+        order = by_token[np.argsort(df[by_token], kind='stable')]
+    rank = np.empty(len(df), np.int64)
+    rank[order] = np.arange(1, len(df) + 1)
+    return rank
 
 
 def _fused_rank_build(salt_df_threshold, max_grid, threads, *blocks):
@@ -446,16 +450,44 @@ def map_tokens_to_ranks(lut: dict, token_values: pa.Array,
     return (idx.get_indexer(token_values.to_pandas()) + 1).astype(np.int64)
 
 
+def rank_rows(key, sizes: np.ndarray, row_id: np.ndarray,
+              ranks_flat: np.ndarray, sim_type: str, threshold, qval=None,
+              s=None) -> pa.Table:
+    """(key, sz, ranks, plen[, s]) from each token's row and rank: one sort
+    of the int64 key ``row * (max rank + 1) + rank`` puts every row's ranks
+    in ascending order (the applied ordering of
+    ``utils/token_ordering.py:45-55``).  ``sizes`` is each row's token count
+    under the tokenizer's set/bag semantics."""
+    width = np.int64(ranks_flat.max() + 1) if len(ranks_flat) else 1
+    key_sorted = np.sort(row_id * width + ranks_flat)
+    cnt = np.bincount(row_id, minlength=len(sizes))
+    new_off = np.concatenate(([0], np.cumsum(cnt))).astype(np.int32)
+    # int32 ranks halve the postings shuffle volume; vocabularies beyond
+    # 2^31 distinct tokens are out of scope (documented scale assumption —
+    # qgram vocabs are charset^q-bounded, word vocabs ≪ corpus size)
+    ranks_col = pa.ListArray.from_arrays(
+        pa.array(new_off, pa.int32()),
+        pa.array((key_sorted % width).astype(np.int32), pa.int32()))
+    plens = bounds.prefix_length_many(sizes, sim_type, threshold, qval)
+    cols = {'key': key,
+            'sz': pa.array(sizes, type=pa.int32()),
+            'ranks': ranks_col,
+            'plen': pa.array(plens.astype(np.int32), type=pa.int32())}
+    if s is not None:
+        cols['s'] = s
+    return pa.table(cols)
+
+
 class RankPrefixStage:
     """(key, tokens[, s]) → (key, sz, ranks, plen[, s]).
 
-    The ordering artifact (rank-ordered token array, see
-    ``build_ordering_table``) is resolved from the object store ZERO-COPY;
-    token→rank mapping is one vectorized ``pc.index_in`` per batch and the
-    per-row ascending rank sort is a single ``np.lexsort`` over the flattened
-    values — the applied-ordering representation of
-    ``utils/token_ordering.py:45-55`` with no per-token Python work.
-    ``sz`` is the token count under the tokenizer's set/bag semantics.
+    The ordering artifact (``make_rank_lookup`` / ``fused_rank_lookup``'s
+    sorted token hashes and their ranks) resolves from the object store
+    ZERO-COPY; each batch maps its tokens to ranks with one hash pass and
+    one binary search over the distinct hashes (``map_tokens_to_ranks``),
+    and ``rank_rows`` sorts every row's ranks with one int64 key — no
+    per-token Python work.  ``sz`` is the token count under the
+    tokenizer's set/bag semantics.
     """
 
     def __init__(self, ordering_ref, sim_type: str, threshold, qval=None,
@@ -474,35 +506,16 @@ class RankPrefixStage:
             ref_key = lut.hex()
             lut = ray.get(lut)
         toks = batch['tokens'].combine_chunks()
-        nrows = len(batch)
-        offsets = toks.offsets.to_numpy()
-        sizes = np.diff(offsets).astype(np.int32)
+        sizes = np.diff(toks.offsets.to_numpy()).astype(np.int32)
         ranks_flat = map_tokens_to_ranks(lut, toks.values, ref_key)
+        row_id = np.repeat(np.arange(len(batch), dtype=np.int64), sizes)
         # 0 = absent from the ordering
-        row_id = np.repeat(np.arange(nrows), sizes)
         keep = ranks_flat > 0
         if not keep.all():
             ranks_flat, row_id = ranks_flat[keep], row_id[keep]
-        order = np.lexsort((ranks_flat, row_id))
-        sorted_ranks = ranks_flat[order]
-        sorted_rows = row_id[order]
-        cnt = np.bincount(sorted_rows, minlength=nrows)
-        new_off = np.concatenate(([0], np.cumsum(cnt))).astype(np.int32)
-        # int32 ranks halve the postings shuffle volume; vocabularies beyond
-        # 2^31 distinct tokens are out of scope (documented scale assumption —
-        # qgram vocabs are charset^q-bounded, word vocabs ≪ corpus size)
-        ranks_col = pa.ListArray.from_arrays(
-            pa.array(new_off, pa.int32()),
-            pa.array(sorted_ranks.astype(np.int32), pa.int32()))
-        plens = bounds.prefix_length_many(sizes, self.sim_type,
-                                          self.threshold, self.qval)
-        cols = {'key': batch['key'],
-                'sz': pa.array(sizes, type=pa.int32()),
-                'ranks': ranks_col,
-                'plen': pa.array(plens.astype(np.int32), type=pa.int32())}
-        if self.keep_string:
-            cols['s'] = batch['s']
-        return pa.table(cols)
+        return rank_rows(batch['key'], sizes, row_id, ranks_flat,
+                         self.sim_type, self.threshold, self.qval,
+                         batch['s'] if self.keep_string else None)
 
 
 def heavy_token_table(freq_table: pa.Table, lut: dict,

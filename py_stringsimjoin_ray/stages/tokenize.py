@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
-from ..core.tokenizers import has_arrow_kernel
+from ..core.tokenizers import _dedup_lists, token_lists
 
 
 class TokenizeStage:
@@ -46,12 +47,9 @@ class TokenizeStage:
             # an all-null input block arrives as Arrow type null; after the
             # null drop above it is empty — cast so tokenizers see string
             col = col.cast(pa.string())
-        if has_arrow_kernel(self.tokenizer):
-            tokens = self.tokenizer.tokenize_arrow(col)
-        else:  # user-supplied tokenizer: reference contract is .tokenize(str)
-            tk = self.tokenizer.tokenize
-            tokens = pa.array([tk(s) for s in col.to_pylist()],
-                              type=pa.list_(pa.string()))
+        tokens, drop = token_lists(self.tokenizer, col)
+        if drop:
+            tokens = _dedup_lists(tokens)
         cols = {'key': batch[self.key_attr], 'tokens': tokens}
         if self.keep_string:
             cols['s'] = col
@@ -67,6 +65,43 @@ def tokenized_dataset(ds: ray.data.Dataset, key_attr: str, join_attr: str,
     ds = ds.select_columns(list(dict.fromkeys(needed)))
     fn = TokenizeStage(key_attr, join_attr, tokenizer, keep_string=keep_string)
     return ds.map_batches(fn, batch_format='pyarrow', batch_size=batch_size)
+
+
+def token_ids(cols: list, tokenizer, distinct: bool = False) -> tuple:
+    """The tokens of every string of ``cols`` (string arrays, nulls masked
+    by the caller) as int ids into ONE dictionary shared by all columns →
+    ``([(lens, ids)] per column, dictionary, df)``: ``lens`` is each
+    string's token count, ``ids`` its tokens' ids in CSR order and ``df``
+    each id's occurrence count over all columns — what
+    ``partial_token_counts`` counts on the token lists.  The lists come
+    from ``token_lists``; one ``pc.dictionary_encode`` replaces every later
+    string hash or search, and a set tokenizer's repeats (every repeat
+    with ``distinct``) drop with one ``np.unique`` over ``row * V + id``,
+    leaving each string's ids sorted."""
+    lists = [token_lists(tokenizer, c) for c in cols]
+    flats = [lst.flatten() for lst, _ in lists]
+    flats = [f if f.type == pa.string() else f.cast(pa.string())
+             for f in flats]
+    enc = pc.dictionary_encode(flats[0] if len(flats) == 1
+                               else pa.concat_arrays(flats))
+    dictionary = enc.dictionary
+    nvals = np.int64(max(1, len(dictionary)))
+    all_ids = enc.indices.to_numpy().astype(np.int64)
+    out, start = [], 0
+    for (lst, drop), flat in zip(lists, flats):
+        ids = all_ids[start:start + len(flat)]
+        start += len(flat)
+        lens = pc.list_value_length(lst).to_numpy(
+            zero_copy_only=False).astype(np.int64)
+        if drop or distinct:
+            row = np.repeat(np.arange(len(lst), dtype=np.int64), lens)
+            key = np.unique(row * nvals + ids)
+            ids = key % nvals
+            lens = np.bincount(key // nvals, minlength=len(lst))
+        out.append((lens, ids))
+    df = np.bincount(np.concatenate([ids for _, ids in out]),
+                     minlength=len(dictionary))
+    return out, dictionary, df
 
 
 def partial_token_counts(batch: pa.Table) -> pa.Table:
