@@ -17,8 +17,6 @@ from __future__ import annotations
 from math import ceil, floor, sqrt
 from sys import maxsize
 
-SET_MEASURES = ('JACCARD', 'COSINE', 'DICE', 'OVERLAP', 'OVERLAP_COEFFICIENT')
-
 
 def size_lower_bound(num_tokens: int, sim_type: str, threshold) -> int:
     if sim_type == 'COSINE':

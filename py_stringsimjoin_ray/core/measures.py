@@ -114,18 +114,7 @@ SIM_FUNCTIONS = {
 }
 
 
-def get_sim_function(sim_measure_type: str):
-    return SIM_FUNCTIONS[sim_measure_type.upper()]
-
-
 # -------------------------------------------- sorted-rank-array fast kernels
-
-def intersect_size_sorted(a: np.ndarray, b: np.ndarray) -> int:
-    """|A ∩ B| for sorted UNIQUE int arrays (set semantics)."""
-    if len(a) == 0 or len(b) == 0:
-        return 0
-    return int(np.intersect1d(a, b, assume_unique=True).size)
-
 
 def bag_product_overlap_sorted(a: np.ndarray, b: np.ndarray) -> int:
     """Sum over distinct tokens of count_a * count_b for sorted int arrays
@@ -138,35 +127,3 @@ def bag_product_overlap_sorted(a: np.ndarray, b: np.ndarray) -> int:
     if common.size == 0:
         return 0
     return int(np.dot(ca[ia], cb[ib]))
-
-
-def set_score_from_overlap(sim_type: str, o: int, n1: int, n2: int) -> float:
-    """Exact set-measure score from overlap + set sizes (sizes are the
-    DEDUPLICATED token counts)."""
-    if sim_type == 'JACCARD':
-        if n1 == 0 and n2 == 0:
-            return 1.0
-        if n1 == 0 or n2 == 0:
-            return 0.0
-        return o / (n1 + n2 - o)
-    if sim_type == 'COSINE':
-        if n1 == 0 and n2 == 0:
-            return 1.0
-        if n1 == 0 or n2 == 0:
-            return 0.0
-        return o / float(np.sqrt(n1 * n2))
-    if sim_type == 'DICE':
-        if n1 == 0 and n2 == 0:
-            return 1.0
-        if n1 == 0 or n2 == 0:
-            return 0.0
-        return 2.0 * o / (n1 + n2)
-    if sim_type == 'OVERLAP':
-        return float(o)
-    if sim_type == 'OVERLAP_COEFFICIENT':
-        if n1 == 0 and n2 == 0:
-            return 1.0
-        if n1 == 0 or n2 == 0:
-            return 0.0
-        return o / float(min(n1, n2))
-    raise ValueError(sim_type)

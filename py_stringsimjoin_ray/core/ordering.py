@@ -14,8 +14,6 @@ single corpus-wide ordering (SURVEY.md §2.9).  The distributed build lives in
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def build_ordering_from_counts(tokens, counts) -> dict:
     """token→rank dict from parallel (token, count) sequences."""
@@ -35,8 +33,3 @@ def apply_ordering(tokens, ordering: dict) -> list[int]:
     out = [ordering[t] for t in tokens if t in ordering]
     out.sort()
     return out
-
-
-def apply_ordering_np(tokens, ordering: dict) -> np.ndarray:
-    return np.sort(np.fromiter((ordering[t] for t in tokens if t in ordering),
-                               dtype=np.int64))

@@ -29,6 +29,7 @@ import ray
 import ray.data
 
 from ..core import validation as V
+from ..state.session import session_cpus
 from .join import (_remove_redundant_attrs, edit_distance_join,
                    output_header)
 
@@ -87,12 +88,8 @@ def _attach_out_attrs(pairs, ltable, rtable, l_key_attr, r_key_attr,
                         vals[a] = side_t[a].to_numpy()[idx]
                 return emit(batch, lvals, rvals)
         AttachOut.__name__ = 'disk_join_attach_out'
-        try:
-            ncpu = int(ray.cluster_resources().get('CPU', 8))
-        except Exception:  # pragma: no cover
-            ncpu = 8
         return pairs.map_batches(AttachOut, batch_format='pandas',
-                                 concurrency=(1, ncpu)), out_cols
+                                 concurrency=(1, session_cpus())), out_cols
 
     # beyond-gate regime: bucketed hash-shuffle attach per side
     schema = arrow_schema_of(pairs)

@@ -36,6 +36,7 @@ from ..core.tokenizers import QgramTokenizer
 from ..stages.postings import (RankPrefixStage, heavy_token_table,
                                make_rank_lookup)
 from ..stages.tokenize import TokenizeStage, token_frequencies
+from ..state.session import block_count, session_cpus
 
 # cap on shuffle buckets; the per-join formula scales buckets with input
 # rows (rows/400) so big corpora get fine-grained, cache-friendly kernel
@@ -150,12 +151,10 @@ def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
             .map_batches(TokenizeStage(key_attr, join_attr, cfg.tokenizer,
                                        keep_string=cfg.keep_string),
                          batch_format='pyarrow').materialize()
-        # enough blocks that the downstream map_groups stages get
-        # fine-grained tasks (their task count follows the shuffle's block
-        # count; coarse blocks leave multi-second stragglers), but never
-        # explode tiny tables into empty blocks
-        want = int(min(int(ray.cluster_resources().get('CPU', 8)) * 8,
-                       max(1, tok.count() // 256)))
+        # the downstream shuffles' task counts follow the block count:
+        # split a coarse input up to ``block_count`` blocks, never a tiny
+        # table into empty ones, and never merge an input's own blocks
+        want = block_count(tok.count())
         if want > tok.num_blocks():
             tok = tok.repartition(want).materialize()
         return tok
@@ -230,8 +229,7 @@ def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
     # cfg.num_buckets for packing/skew.
     rows_est = tok_l.count() + (0 if one_side else tok_r.count())
     cfg.num_buckets = int(min(cfg.num_buckets,
-                              max(32,
-                                  int(ray.cluster_resources().get('CPU', 8)) * 4,
+                              max(32, session_cpus() * 4,
                                   rows_est // 400)))
 
     # scale path: signature dedup + slim rank-free postings + verify-time
@@ -286,9 +284,8 @@ def _dist_ordering_pairs(cfg, tok_l, tok_r, same_relation):
         return distributed_ranked(tds, ordering_ds, cfg.sim_type,
                                   cfg.threshold, cfg.qval,
                                   keep_string=cfg.keep_string,
-                                  num_buckets=max(
-                                      32, int(ray.cluster_resources()
-                                              .get('CPU', 8)) * 4))
+                                  num_buckets=max(32,
+                                                  session_cpus() * 4))
 
     # same gate hint formula as the broadcast-ordering path: without it the
     # join would always pick the single-broadcast regime — contradicting

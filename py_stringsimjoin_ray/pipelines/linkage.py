@@ -10,7 +10,11 @@ clustering record linkage over a source-code-repos Parquet corpus
       │       (stages/cluster.py)                          ─▶ clusters/
       │    past _CC_TASK_GATE edges: hand ingest + matches (or their
       │    checkpoint) to the Dataset route's clusters stage
-      └─ Dataset route:
+      └─ Dataset route, its read cut into state/session.py
+         ``block_count(rows)`` blocks (Ray's own split without footers or
+         at the cpus*8 ceiling); the tokenize and Tsig postings stages
+         follow the same rule, and no task asks for more CPUs than the
+         session has:
            ingest (map_batches: record_id, sha256)         ─▶ ingest/
            └▶ self-join (tokenize → ordering → prefix postings + salting
               → candgen / verify shuffles)                 ─▶ matches/
@@ -48,6 +52,7 @@ from ..stages.cluster import (_attach, attach_components,
                               connected_components,
                               connected_components_numpy)
 from ..state import manifests as mf
+from ..state.session import block_count, session_cpus
 from ..state.skewstats import summarize
 from .join import _JoinConfig, match_pairs_dataset
 
@@ -415,7 +420,13 @@ def _dataset_linkage(repos_path, checkpoint_dir, cfg, fps, counters,
         ingest = mf.read_stage(checkpoint_dir, 'ingest')
         counters['ingest_resumed'] = True
     else:
-        raw = ray.data.read_parquet(repos_path)
+        # ``block_count`` blocks from the footers' rows; without footers,
+        # or at the cpus*8 ceiling, Ray's own split
+        cpus, rows = session_cpus(), counters['route_gate'].get('rows')
+        nblocks = None if rows is None else block_count(rows, cpus)
+        raw = ray.data.read_parquet(
+            repos_path,
+            override_num_blocks=None if nblocks == cpus * 8 else nblocks)
         ingest = raw.map_batches(_ingest_batch, batch_format='pyarrow')
         if checkpoint_dir:
             ingest = mf.write_stage(ingest, checkpoint_dir, 'ingest',

@@ -1466,7 +1466,3 @@ SELECT sa.id, sb.id, 1.0 FROM sza sa, szb sb WHERE sa.n = 0 AND sb.n = 0
 
 ORACLE_SQL['ann_topk_ivf_embeddings'] = ORACLE_SQL['ann_topk_embeddings']
 ORACLE_SQL['ann_topk_lsh_embeddings'] = ORACLE_SQL['ann_topk_embeddings']
-
-
-def run_query(name: str, sf_dir: str):
-    return QUERIES[name](sf_dir)

@@ -25,6 +25,7 @@ import ray
 import ray.data
 
 from ..state.broadcast import broadcast_gate_bytes
+from ..state.session import session_cpus
 
 logger = logging.getLogger('py_stringsimjoin_ray.ann')
 
@@ -102,10 +103,7 @@ def _topk_per_query(partials: ray.data.Dataset, k: int,
         return pd.DataFrame({'query_id': q2, 'vec_id': v2, 'cosine': c2,
                              'rank': r})
 
-    try:
-        P = max(32, int(ray.cluster_resources().get('CPU', 8)) * 2)
-    except Exception:  # pragma: no cover - ray not initialised
-        P = 32
+    P = max(32, session_cpus() * 2)
 
     def add_bucket(b: pa.Table) -> pa.Table:
         q = np.asarray(b['query_id'].to_numpy(zero_copy_only=False))

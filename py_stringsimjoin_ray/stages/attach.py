@@ -38,6 +38,7 @@ import ray
 import ray.data
 
 from ..state.broadcast import broadcast_gate_bytes
+from ..state.session import session_cpus
 
 # test hook: plan every side, pandas included, for the bucketed regime (no
 # gate picks it for a pandas side)
@@ -98,10 +99,7 @@ def broadcast_map(cand, body, lside, rside):
 
 
 def default_attach_buckets() -> int:
-    try:
-        return max(64, int(ray.cluster_resources().get('CPU', 8)) * 4)
-    except Exception:  # pragma: no cover - ray not initialised
-        return 64
+    return max(64, session_cpus() * 4)
 
 
 def _bucket_of(col: pa.ChunkedArray, P: int) -> pa.Array:

@@ -34,6 +34,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..state.session import session_cpus
 from .attach import arrow_schema_of, default_attach_buckets
 
 # component-map rows up to which the attach broadcasts the map (16 B a row:
@@ -185,7 +186,7 @@ def connected_components(edges: ray.data.Dataset, max_rounds: int = 50
     # Each star round is ONE bucket shuffle: nodes hash into P buckets so a
     # node's whole neighbor list is group-local, and the per-group rule is
     # numpy over Arrow columns — no per-node Python groups, no Dataset.join.
-    num_buckets = max(8, 2 * int(ray.cluster_resources().get('CPU', 8)))
+    num_buckets = max(8, 2 * session_cpus())
 
     prev = None
     for _ in range(max_rounds):

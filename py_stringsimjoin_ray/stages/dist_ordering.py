@@ -245,24 +245,3 @@ def distributed_ranked(tok_ds: ray.data.Dataset,
         .groupby('kb').map_groups(
             lambda t: regroup(t.drop_columns(['kb'])),
             batch_format='pyarrow')
-
-
-def empty_key_rows(tok_ds: ray.data.Dataset,
-                   keep_string: bool = False) -> ray.data.Dataset:
-    """Ranked rows for zero-token records (the exploded join drops them):
-    (key, sz=0, ranks=[], plen=0[, s])."""
-    def f(b: pa.Table) -> pa.Table:
-        lens = pa.compute.list_value_length(b['tokens'])
-        m = pa.compute.equal(lens, 0)
-        sub = b.filter(m)
-        n = len(sub)
-        cols = {'key': sub['key'],
-                'sz': pa.array(np.zeros(n, np.int32), pa.int32()),
-                'ranks': pa.ListArray.from_arrays(
-                    pa.array(np.zeros(n + 1, np.int32), pa.int32()),
-                    pa.array([], pa.int32())),
-                'plen': pa.array(np.zeros(n, np.int32), pa.int32())}
-        if keep_string:
-            cols['s'] = sub['s']
-        return pa.table(cols)
-    return tok_ds.map_batches(f, batch_format='pyarrow')

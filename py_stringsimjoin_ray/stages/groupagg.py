@@ -36,8 +36,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
 import ray.data
+
+from ..state.session import session_cpus
 
 _REDUCE_OF = {'min': 'min', 'max': 'max', 'sum': 'sum', 'count': 'sum'}
 
@@ -107,11 +108,7 @@ def _grouped(tbl: pa.Table, keys: list, agg_spec: list) -> pa.Table:
 
 
 def _default_buckets() -> int:
-    try:
-        cpus = int(ray.cluster_resources().get('CPU', 8))
-    except Exception:  # pragma: no cover - ray not initialised
-        cpus = 8
-    return max(32, cpus * 4)
+    return max(32, session_cpus() * 4)
 
 
 def bucketed_group_agg(ds: ray.data.Dataset, keys: list[str],

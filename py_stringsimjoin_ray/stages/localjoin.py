@@ -61,6 +61,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..core.comp_ops import COMP_OP_MAP
+from ..state.session import session_cpus
 from .postings import MAX_GRID, _heavy_from_rc, dictionary_ranks, rank_rows
 from .slimjoin import (BroadcastVerify, SigStage, SlimPostingsStage,
                        _fold_tsig, _np_candidates, _pairs_frame)
@@ -468,8 +469,7 @@ def _overlap_count_pairs(bc, cfg, same_relation: bool) -> pd.DataFrame:
                            minlength=nsig)
     total_cost = float(sig_cost.sum())
 
-    cpus = int(ray.cluster_resources().get('CPU', 8)) \
-        if ray.is_initialized() else 1
+    cpus = session_cpus(default=1)
     nchunks = int(min(max(1, cpus), max(1, total_cost // 2_000_000))) \
         if cpus > 1 else 1
 
@@ -579,8 +579,7 @@ def _local_pairs(arr_l, arr_r, l_key_attr, r_key_attr, l_join_attr,
     postings = SlimPostingsStage(nb, heavy or None,
                                  emit_sides=not one_side)(tsig_tbl)
 
-    cpus = int(ray.cluster_resources().get('CPU', 8)) \
-        if ray.is_initialized() else 0
+    cpus = session_cpus(default=0)
     fanout = gates['fanout']
     chunks = _bucket_chunks(postings['bucket'].to_numpy(), cpus,
                             fanout[0], fanout[1])

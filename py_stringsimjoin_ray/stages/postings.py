@@ -24,6 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..core import bounds
+from ..state.session import cpu_request, session_cpus
 
 KNUTH = np.uint64(2654435761)
 # hard cap on heavy-token grid size (every heavy builder clamps g to this);
@@ -120,14 +121,10 @@ def make_rank_lookup(freq_table: pa.Table) -> dict:
     # capped at the RAY CPU budget so a num_cpus=8 session doesn't borrow
     # the whole box (keeps the two-level scaling measurement honest).
     import duckdb
+    import ray
     con = duckdb.connect()
-    try:
-        import ray
-        if ray.is_initialized():
-            con.execute(f"SET threads TO "
-                        f"{max(1, int(ray.cluster_resources().get('CPU', 8)))}")
-    except Exception:  # pragma: no cover
-        pass
+    if ray.is_initialized():
+        con.execute(f'SET threads TO {max(1, session_cpus())}')
     con.register('t_vocab', freq_table)
     # plain ORDER BY (parallel radix sort) + arange ranks — ~6x faster than
     # the row_number() window over multi-million-token vocabularies
@@ -372,7 +369,7 @@ def fused_rank_lookup(tokenized, salt_df_threshold: int,
     if not refs:
         return (ray.put({'hashes': np.empty(0, np.uint64),
                          'ranks': np.empty(0, np.int32)}), {}, 0)
-    cpus = int(ray.cluster_resources().get('CPU', 8))
+    cpus = session_cpus()
     if partial.count() >= _VOCAB_SHARD_MIN_ROWS:
         # three-round sharded build (the single merge task was 57% of the
         # flagship matches stage at 1.5M records): K parallel hash-range
@@ -392,12 +389,14 @@ def fused_rank_lookup(tokenized, salt_df_threshold: int,
         ranked_refs = [rank_task.remote(all_cv, base, prefix[s],
                                         salt_df_threshold, piece_refs[s])
                        for s in range(nshards)]
-        concat_task = ray.remote(num_cpus=2, num_returns=2)(_vocab_concat)
+        concat_task = ray.remote(num_cpus=cpu_request(2),
+                                 num_returns=2)(_vocab_concat)
         lut_ref, heavy_ref = concat_task.remote(salt_df_threshold, max_grid,
                                                 *ranked_refs)
         heavy = ray.get(heavy_ref)
     else:
-        ncpu = max(2, min(8, cpus // 2))
+        # the merge's DuckDB runs as many threads as the task holds CPUs
+        ncpu = cpu_request(max(2, min(8, cpus // 2)))
         builder = ray.remote(num_cpus=ncpu, num_returns=4)(_fused_rank_build)
         lut_ref, heavy_ref, coll_ref, tot_ref = builder.remote(
             salt_df_threshold, max_grid, ncpu, *refs)

@@ -55,6 +55,7 @@ from ray.data.context import ShuffleStrategy
 from ..core import bounds
 from ..core.comp_ops import COMP_OP_MAP
 from ..state.broadcast import _BROADCAST_GATE_FLOOR
+from ..state.session import block_count
 from .postings import KNUTH, MAX_GRID_AREA, _lev_many, _token_hashes
 
 _MASK63 = np.uint64((1 << 63) - 1)
@@ -654,12 +655,11 @@ def collect_tsig_shards(tagged: ray.data.Dataset, same_relation: bool,
         return None, None, None, 0
     shard_refs = [o[0] if s_ > 0 else None for o, s_ in zip(out, sizes)]
     bases = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.int64)
-    # pre-split each shard into enough slices that the postings Dataset is
-    # born at target block granularity (cpus*8 blocks total) — no
-    # repartition barrier between the shard builders and the postings map
-    cpus = int(ray.cluster_resources().get('CPU', 8))
+    # pre-split each shard into slices so that the postings Dataset is
+    # born with ``block_count(n)`` blocks in total — no repartition barrier
+    # between the shard builders and the postings map
     live = sum(1 for s_ in sizes if s_ > 0)
-    nslices = max(1, -(-(cpus * 8) // max(1, live)))
+    nslices = max(1, -(-block_count(n) // max(1, live)))
     rebase = ray.remote(num_cpus=1, num_returns=nslices)(_rebase_piece_tbl)
     tbl_refs = []
     for b, s_, o in zip(bases, sizes, out):
@@ -677,12 +677,11 @@ def tsig_postings_input(tbl_refs, num_sigs: int) -> ray.data.Dataset:
     """Dataset view of the per-shard postings-source tables built by the
     remote shard builders — constructed from REFS, never fetched to the
     driver."""
-    # collect_tsig_shards already pre-splits each shard into slices (cpus*8
-    # blocks total), so the Dataset is born at the granularity the
-    # downstream groupby(bucket).map_groups stage needs — repartition only
-    # in the degenerate under-split case
-    cpus = int(ray.cluster_resources().get('CPU', 8))
-    nblocks = int(min(cpus * 8, max(cpus, num_sigs // 128, 1)))
+    # collect_tsig_shards already pre-splits each shard into slices
+    # (``block_count(num_sigs)`` in total), so the Dataset is born at the
+    # granularity the downstream groupby(bucket).map_groups stage needs —
+    # repartition only in the degenerate under-split case
+    nblocks = block_count(num_sigs)
     ds = ray.data.from_arrow_refs(list(tbl_refs))
     if len(tbl_refs) >= nblocks:
         return ds

@@ -58,15 +58,6 @@ class TokenizeStage:
         return pa.table(cols)
 
 
-def tokenized_dataset(ds: ray.data.Dataset, key_attr: str, join_attr: str,
-                      tokenizer, keep_string: bool = False,
-                      batch_size: int = 4096) -> ray.data.Dataset:
-    needed = [key_attr, join_attr]
-    ds = ds.select_columns(list(dict.fromkeys(needed)))
-    fn = TokenizeStage(key_attr, join_attr, tokenizer, keep_string=keep_string)
-    return ds.map_batches(fn, batch_format='pyarrow', batch_size=batch_size)
-
-
 def token_ids(cols: list, tokenizer, distinct: bool = False) -> tuple:
     """The tokens of every string of ``cols`` (string arrays, nulls masked
     by the caller) as int ids into ONE dictionary shared by all columns →
@@ -184,11 +175,3 @@ def build_ordering_table(freq_table: pa.Table) -> pa.Array:
         freq_table, sort_keys=[('count', 'ascending'), ('token', 'ascending')])
     col = freq_table['token'].take(idx)
     return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-
-
-def build_global_ordering(freq_table: pa.Table) -> dict:
-    """token→rank dict view of the ordering — for the pure-Python kernels
-    (SuffixFilter recursion, unit oracles).  Driver-collectable vocabularies
-    only; the distributed join path uses ``build_ordering_table``."""
-    ranked = build_ordering_table(freq_table)
-    return {t: i + 1 for i, t in enumerate(ranked.to_pylist())}

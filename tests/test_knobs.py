@@ -4,7 +4,8 @@ documented there is still read.  A deleted knob must leave the README with
 its code; a new one must be documented (the bench-harness names listed
 after "Bench harness:" belong to bench.py, not the library).  The
 environment is read in one library module and written in none: a gate is
-a module constant that tests patch, not process-global state."""
+a module constant that tests patch, not process-global state.  No task
+asks for more CPUs than the session has."""
 
 import ast
 import os
@@ -95,3 +96,41 @@ def test_no_library_module_writes_the_environment():
                         or f.attr in ('putenv', 'unsetenv'):
                     writes.append((path, node.lineno))
     assert not writes, writes
+
+
+def _is_cap(node) -> bool:
+    """A call of ``state/session.cpu_request``."""
+    f = getattr(node, 'func', None)
+    return isinstance(node, ast.Call) and (
+        getattr(f, 'id', None) == 'cpu_request'
+        or getattr(f, 'attr', None) == 'cpu_request')
+
+
+def test_no_cpu_request_above_the_session():
+    """Every ``num_cpus=`` keyword is a constant of at most 1 or
+    ``cpu_request``'s result, directly or through a name bound to nothing
+    else in its module: Ray keeps a task that asks for more CPUs than the
+    session has pending forever."""
+    bad = []
+    for path, tree in _library_trees():
+        bound: dict = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                for t in getattr(node, 'targets', None) or [node.target]:
+                    if isinstance(t, ast.Name):
+                        bound.setdefault(t.id, []).append(
+                            isinstance(node, ast.Assign)
+                            and _is_cap(node.value))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.keyword)
+                    and node.arg == 'num_cpus'):
+                continue
+            v = node.value
+            if (isinstance(v, ast.Constant)
+                    and isinstance(v.value, (int, float))
+                    and v.value <= 1) or _is_cap(v) \
+                    or (isinstance(v, ast.Name)
+                        and all(bound.get(v.id, [False]))):
+                continue
+            bad.append(f'{path}:{v.lineno}')
+    assert not bad, bad
