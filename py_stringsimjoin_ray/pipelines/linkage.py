@@ -421,7 +421,8 @@ def _dataset_linkage(repos_path, checkpoint_dir, cfg, fps, counters,
         counters['ingest_resumed'] = True
     else:
         # ``block_count`` blocks from the footers' rows; without footers,
-        # or at the cpus*8 ceiling, Ray's own split
+        # or at the cpus*8 ceiling, Ray's own split (an input that large
+        # keeps the read plan it was tuned on)
         cpus, rows = session_cpus(), counters['route_gate'].get('rows')
         nblocks = None if rows is None else block_count(rows, cpus)
         raw = ray.data.read_parquet(

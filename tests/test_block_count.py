@@ -3,6 +3,7 @@ bounds, and that the block count it picks changes no output — a
 Dataset-route self-join and ``record_linkage`` forced to one block and to
 many give the local route's pairs, scores and components."""
 
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -76,23 +77,30 @@ def _spy(monkeypatch):
     return seen
 
 
-def _pairs(df, cols=('l_p_partkey', 'r_p_partkey', '_sim_score')):
+def _names(n: int = 400) -> pd.DataFrame:
+    """``n`` names of 3-6 words from a 50-word vocabulary: overlapping
+    enough that a 0.4 Jaccard self-join finds pairs beyond the diagonal."""
+    rng = np.random.default_rng(7)
+    words = [f'w{i}' for i in range(50)]
+    names = [' '.join(rng.choice(words, rng.integers(3, 7)))
+             for _ in range(n)]
+    return pd.DataFrame({'id': range(n), 'name': names})
+
+
+def _pairs(df, cols=('l_id', 'r_id', '_sim_score')):
     return sorted(map(tuple, df[list(cols)].itertuples(index=False)))
 
 
 @pytest.mark.parametrize('forced', sorted(FORCED))
 def test_self_join_output_independent_of_blocks(monkeypatch, forced):
-    part = pd.read_parquet('/root/testdata/sf0.001/part.parquet')
-    part = part[['p_partkey', 'p_name']].head(400).copy()
+    names = _names()
     tok = WhitespaceTokenizer(return_set=True)
-    base = jaccard_join(part, part, 'p_partkey', 'p_partkey', 'p_name',
-                        'p_name', tok, 0.4)
-    assert len(base) > len(part)
+    base = jaccard_join(names, names, 'id', 'id', 'name', 'name', tok, 0.4)
+    assert len(base) > len(names)
     monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
     monkeypatch.setattr(session, '_ROWS_PER_BLOCK', FORCED[forced])
     seen = _spy(monkeypatch)
-    dist = jaccard_join(part, part, 'p_partkey', 'p_partkey', 'p_name',
-                        'p_name', tok, 0.4)
+    dist = jaccard_join(names, names, 'id', 'id', 'name', 'name', tok, 0.4)
     assert _pairs(base) == _pairs(dist)
     assert seen and (max(seen) == 1 if forced == 'one' else min(seen) > 1)
 
