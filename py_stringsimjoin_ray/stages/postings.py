@@ -389,8 +389,7 @@ def fused_rank_lookup(tokenized, salt_df_threshold: int,
         ranked_refs = [rank_task.remote(all_cv, base, prefix[s],
                                         salt_df_threshold, piece_refs[s])
                        for s in range(nshards)]
-        concat_task = ray.remote(num_cpus=cpu_request(2),
-                                 num_returns=2)(_vocab_concat)
+        concat_task = ray.remote(num_cpus=1, num_returns=2)(_vocab_concat)
         lut_ref, heavy_ref = concat_task.remote(salt_df_threshold, max_grid,
                                                 *ranked_refs)
         heavy = ray.get(heavy_ref)

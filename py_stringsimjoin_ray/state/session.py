@@ -7,14 +7,17 @@ from __future__ import annotations
 import ray
 
 # Rows (records, or record signatures) per block of the Dataset route's
-# read, tokenize and Tsig postings stages, below the ``cpus * 8`` ceiling
-# of ``block_count``.  Measured with ``ssjbench/run.py --workload
-# linkage_dist`` (11,748 files, 18.5 MB) on a 1-core VM, job_s / cpu_s
-# medians of 2-3 operations: at 1 CPU, 8 blocks per stage after Ray's
-# 20-block read 6.09 / 5.55 s, 4 blocks 3.41 / 3.37 s, 3 blocks 3.22 /
-# 3.19 s, 2 blocks 3.05 / 3.01 s; at 2 CPUs, 8 blocks 3.55 / 6.09 s and
-# 2 blocks 3.04 / 4.97 s.  A block costs its task and exchange overhead
-# and buys parallelism only where there are CPUs to spread over.
+# read, tokenize and Tsig postings stages, between the floor and the
+# ``cpus * 8`` ceiling of ``block_count``.  Measured with
+# ``ssjbench/run.py --workload linkage_dist`` (11,748 files, 18.5 MB) on a
+# 1-core VM, job_s / cpu_s medians of 2-3 operations: at 1 CPU, 8 blocks
+# per stage after Ray's 20-block read 6.09 / 5.55 s, 4 blocks 3.41 /
+# 3.37 s, 3 blocks 3.22 / 3.19 s, 2 blocks 3.05 / 3.01 s; at 2 CPUs,
+# 8 blocks 3.55 / 6.09 s and 2 blocks 3.04 / 4.97 s.  A block costs its
+# task and exchange overhead and buys parallelism only where there are
+# CPUs to spread over.  Sessions above 2 CPUs were not measured; there the
+# floor keeps one block per CPU wherever the former 256-rows-per-block
+# tokenize split gave that many.
 _ROWS_PER_BLOCK = 4096
 
 
@@ -26,15 +29,19 @@ def session_cpus(default: int = 8) -> int:
 
 
 def cpu_request(n: int) -> int:
-    """``num_cpus`` for a task that could use ``n`` CPUs: at most the
-    session's, since Ray keeps a task that asks for more pending forever."""
-    return max(1, min(int(n), session_cpus()))
+    """``num_cpus`` for a task that could use ``n`` CPUs: at most the CPUs
+    of the session's largest node, since Ray places a task on one node and
+    keeps a task that asks for more than any node has pending forever."""
+    node = max((x['Resources'].get('CPU', 0) for x in ray.nodes()
+                if x['Alive']), default=1)
+    return max(1, min(int(n), int(node)))
 
 
 def block_count(rows: int, cpus: int | None = None) -> int:
     """Blocks for a stage of ``rows`` rows: one per ``_ROWS_PER_BLOCK``
-    rows, at least 1 and at most ``cpus * 8`` (the session's CPUs by
-    default), the fan-out that keeps every CPU fed when a shuffle's tasks
-    straggle."""
+    rows, at most ``cpus * 8`` (the session's CPUs by default), the
+    fan-out that keeps every CPU fed when a shuffle's tasks straggle, and
+    at least one per CPU while each block keeps 256 rows (at least 1)."""
     cpus = session_cpus() if cpus is None else cpus
-    return int(max(1, min(cpus * 8, rows // _ROWS_PER_BLOCK)))
+    floor = max(1, min(cpus, rows // 256))
+    return int(min(cpus * 8, max(floor, rows // _ROWS_PER_BLOCK)))

@@ -30,7 +30,8 @@ def _former_counts(rows: int, cpus: int) -> tuple:
 @pytest.mark.parametrize('cpus', CPUS)
 def test_floor_and_ceiling(cpus):
     assert block_count(0, cpus) == 1
-    assert block_count(session._ROWS_PER_BLOCK - 1, cpus) == 1
+    assert block_count(255, cpus) == 1
+    assert block_count(256 * cpus, cpus) == cpus
     assert block_count(10 ** 12, cpus) == cpus * 8
 
 
@@ -38,6 +39,15 @@ def test_floor_and_ceiling(cpus):
 def test_never_above_the_former_sites(cpus):
     for rows in ROWS:
         assert block_count(rows, cpus) <= min(_former_counts(rows, cpus))
+
+
+@pytest.mark.parametrize('cpus', CPUS)
+def test_one_block_per_cpu_where_the_former_sites_gave_that_many(cpus):
+    # larger sessions keep every CPU busy: the rule gives fewer blocks
+    # than CPUs only where a former site did too
+    for rows in ROWS:
+        assert block_count(rows, cpus) >= min(cpus,
+                                              *_former_counts(rows, cpus))
 
 
 @pytest.mark.parametrize('cpus', CPUS)

@@ -109,8 +109,8 @@ def _is_cap(node) -> bool:
 def test_no_cpu_request_above_the_session():
     """Every ``num_cpus=`` keyword is a constant of at most 1 or
     ``cpu_request``'s result, directly or through a name bound to nothing
-    else in its module: Ray keeps a task that asks for more CPUs than the
-    session has pending forever."""
+    else in its module: Ray keeps a task that asks for more CPUs than any
+    node of the session has pending forever."""
     bad = []
     for path, tree in _library_trees():
         bound: dict = {}
