@@ -8,8 +8,9 @@ absent from the ordering, and sorts the resulting int list ascending
 
 The reference rebuilds the ordering per worker over (L, R-split); ordering
 only affects candidate generation (verification is exact), which licenses our
-single corpus-wide ordering (SURVEY.md §2.9).  The distributed build lives in
-``stages/ordering.py``; these pure functions define the semantics.
+single corpus-wide ordering (SURVEY.md §2.9).  The library's build lives in
+``stages/postings.py`` (``dictionary_ranks``, ``fused_rank_lookup``); these
+pure functions define the semantics.
 """
 
 from __future__ import annotations

@@ -909,8 +909,8 @@ class SuffixFilter(Filter):
                       l_filter_attr, r_filter_attr, l_out_attrs=None,
                       r_out_attrs=None, l_out_prefix='l_', r_out_prefix='r_',
                       n_jobs=1, show_progress=False):
-        from ..stages.tokenize import TokenizeStage, token_frequencies
-        from ..stages.postings import RankPrefixStage, make_rank_lookup
+        from ..stages.tokenize import TokenizeStage
+        from ..stages.postings import RankPrefixStage, fused_rank_lookup
         V.validate_input_table(ltable, 'left table')
         V.validate_input_table(rtable, 'right table')
         l_cols, r_cols = V.table_columns(ltable), V.table_columns(rtable)
@@ -944,8 +944,10 @@ class SuffixFilter(Filter):
         tok_r = r_ds.select_columns(list(dict.fromkeys([r_key_attr, r_filter_attr]))) \
             .map_batches(TokenizeStage(r_key_attr, r_filter_attr, self.tokenizer),
                          batch_format='pyarrow').materialize()
-        freq = token_frequencies(tok_l.union(tok_r))
-        ordering_ref = ray.put(make_rank_lookup(freq))
+        # the reference's (count, token) order; no postings here, so no
+        # heavy tokens to salt
+        ordering_ref, _, _ = fused_rank_lookup(tok_l.union(tok_r), 2 ** 62,
+                                               by_hash=False)
 
         sf = self
         vectorized = bool(getattr(self.tokenizer, 'get_return_set',

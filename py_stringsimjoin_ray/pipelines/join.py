@@ -6,10 +6,11 @@ Each join mirrors the 15-argument surface of the reference's dispatchers
 size-gated local route (``stages/localjoin.py``), else a Ray Data pipeline
 (SURVEY.md §7.0):
 
-    read → tokenize(map_batches) → token-frequency groupby → ordering
-    artifact (broadcast) → rank+prefix(map_batches) → slim-postings
-    pipeline (``stages/slimjoin.py``: signature dedup, rank-free postings
-    with heavy-token grid salting, candgen, verify) → matches
+    read → tokenize(map_batches) → vocabulary (``fused_rank_lookup``:
+    per-block combiners, then Ray tasks build the ordering artifact, an
+    object ref) → rank+prefix(map_batches) → slim-postings pipeline
+    (``stages/slimjoin.py``: signature dedup, rank-free postings with
+    heavy-token grid salting, candgen, verify) → matches
 
 Inputs may be ``pandas.DataFrame`` or ``ray.data.Dataset``.  With
 ``output='pandas'`` (default, reference parity) the result is a DataFrame
@@ -33,9 +34,12 @@ import ray.data
 
 from ..core import validation as V
 from ..core.tokenizers import QgramTokenizer
-from ..stages.postings import (RankPrefixStage, heavy_token_table,
-                               make_rank_lookup)
-from ..stages.tokenize import TokenizeStage, token_frequencies
+from ..stages.postings import RankPrefixStage, hash_tie
+# the string-path vocabulary chain: no route calls it; it is the tests'
+# oracle, and ``ssjbench/trace.py`` wraps these names on this module
+from ..stages.postings import heavy_token_table, make_rank_lookup  # noqa: F401
+from ..stages.tokenize import TokenizeStage
+from ..stages.tokenize import token_frequencies  # noqa: F401
 from ..state.session import block_count, session_cpus
 
 # cap on shuffle buckets; the per-join formula scales buckets with input
@@ -47,13 +51,6 @@ DEFAULT_NUM_BUCKETS = 4096
 # threshold than the old 20000 — measured 1.5-3x wall-time wins on qgram
 # joins at sf0.1 with no regression on word corpora.
 DEFAULT_SALT_DF_THRESHOLD = 300
-# EDIT_DISTANCE joins merge the vocabulary partials on the driver up to
-# this many partial rows ((blocks x vocab)-sized); past it the ordering is
-# built with distributed shuffles and the driver never sees the partials
-_ORDERING_PARTIAL_GATE = 30_000_000
-# test hook: set-measure joins build the ordering the same distributed way
-# (no gate picks that route)
-_DISTRIBUTED_ORDERING = False
 # allow_empty key sets the pandas assembler collects on the driver;
 # past it, output='dataset' attaches the empty cross product distributed
 _EMPTY_KEYS_GATE = 5_000_000
@@ -165,48 +162,15 @@ def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
     else:
         tok_r = _tokenized(r_ds, r_key_attr, r_join_attr)
 
-    if cfg.mode == 'join' and _DISTRIBUTED_ORDERING:
-        # beyond-driver-vocabulary path (VERDICT r1 #4): ordering built and
-        # applied entirely with distributed shuffles; the driver never holds
-        # the vocabulary (only the tiny heavy-token list for salting)
-        pairs = _dist_ordering_pairs(cfg, tok_l, tok_r, same_relation)
-        return pairs, _empty_key_sets(cfg, tok_l, tok_r)
-
-    partial_ds = None
-    if cfg.mode == 'join' and cfg.sim_type == 'EDIT_DISTANCE':
-        # volume gate for the driver-merged vocabulary (VERDICT r4 #5): the
-        # ED path's partial merge is (blocks × vocab)-sized; beyond the gate
-        # the driver never sees the partials — auto-route to the fully
-        # distributed ordering
-        from ..stages.tokenize import token_partials
-        partial_ds = token_partials(tok_l if same_relation
-                                    else tok_l.union(tok_r))
-        if partial_ds.count() > _ORDERING_PARTIAL_GATE:
-            pairs = _dist_ordering_pairs(cfg, tok_l, tok_r, same_relation)
-            return pairs, _empty_key_sets(cfg, tok_l, tok_r)
-
     # corpus-wide ordering over BOTH join columns (token_ordering.py:24-42
-    # semantics; one global artifact instead of per-worker rebuilds).  For a
+    # semantics; one global artifact instead of per-worker rebuilds), built
+    # in Ray tasks: the lut stays off the driver (ref only).  For a
     # self-join doubling every count leaves the ordering unchanged, so the
     # single tokenized Dataset suffices.
-    if cfg.mode == 'join' and cfg.sim_type != 'EDIT_DISTANCE':
-        # hash-tie fast path: one fused vocabulary pass (SURVEY.md §2.9
-        # licenses any consistent total order for set measures — exact
-        # verification makes the join output ordering-independent); the
-        # merge runs remotely and the lut stays off the driver (ref only)
-        from ..stages.postings import fused_rank_lookup
-        ordering_ref, heavy, tot_tokens = fused_rank_lookup(
-            tok_l if same_relation else tok_l.union(tok_r),
-            cfg.salt_df_threshold)
-    else:
-        freq = token_frequencies(tok_l if same_relation
-                                 else tok_l.union(tok_r),
-                                 partial=partial_ds)
-        lut = make_rank_lookup(freq)
-        heavy = heavy_token_table(freq, lut, cfg.salt_df_threshold)
-        ordering_ref = ray.put(lut)
-        import pyarrow.compute as _pc
-        tot_tokens = int(_pc.sum(freq['count']).as_py() or 0)
+    from ..stages.postings import fused_rank_lookup
+    ordering_ref, heavy, tot_tokens = fused_rank_lookup(
+        tok_l if same_relation else tok_l.union(tok_r),
+        cfg.salt_df_threshold, by_hash=hash_tie(cfg))
     heavy_ref = ray.put(heavy) if heavy else None
 
     def ranked(tok_ds):
@@ -250,57 +214,6 @@ def match_pairs_dataset(l_ds, r_ds, l_key_attr, r_key_attr,
                              cfg, heavy_ref, one_side,
                              size_bytes_hint=size_hint)
     return pairs, _empty_key_sets(cfg, tok_l, tok_r)
-
-
-def _dist_ordering_pairs(cfg, tok_l, tok_r, same_relation):
-    """Join pipeline over the fully distributed ordering artifact
-    (stages/dist_ordering.py).  Heavy-token salting metadata comes from the
-    tiny hot-token slice: sorted by (count asc, token), tokens with
-    count >= threshold occupy exactly the LAST ranks of the ordering."""
-    from ..stages.dist_ordering import (distributed_ordering,
-                                        distributed_ranked,
-                                        distributed_token_frequencies)
-    from ..stages.slimjoin import slim_match_pairs
-    tok_all = tok_l if same_relation else tok_l.union(tok_r)
-    freq_ds = distributed_token_frequencies(tok_all).materialize()
-    vocab_size = freq_ds.count()
-    ordering_ds = distributed_ordering(freq_ds).materialize()
-
-    hot = freq_ds.filter(expr=f'count >= {cfg.salt_df_threshold}') \
-        .to_pandas()
-    heavy = {}
-    if len(hot):
-        hot = hot.sort_values(['count', 'token'], kind='stable') \
-            .reset_index(drop=True)
-        base_rank = vocab_size - len(hot)
-        for hidx, row in hot.iterrows():
-            g = int(min(16, max(2, round((row['count']
-                                          / cfg.salt_df_threshold) ** 0.5)
-                                + 1)))
-            heavy[int(base_rank + hidx + 1)] = (hidx, g)
-    heavy_ref = ray.put(heavy) if heavy else None
-
-    def ranked(tds):
-        return distributed_ranked(tds, ordering_ds, cfg.sim_type,
-                                  cfg.threshold, cfg.qval,
-                                  keep_string=cfg.keep_string,
-                                  num_buckets=max(32,
-                                                  session_cpus() * 4))
-
-    # same gate hint formula as the broadcast-ordering path: without it the
-    # join would always pick the single-broadcast regime — contradicting
-    # the whole point of this beyond-driver-vocabulary path at scale
-    try:
-        tot_tokens = int(freq_ds.sum('count') or 0)
-        rows_est = tok_l.count() + (0 if same_relation else tok_r.count())
-        per_tok = 5 if cfg.keep_string else 4
-        size_hint = tot_tokens * per_tok + rows_est * 64
-    except Exception:  # pragma: no cover
-        size_hint = None
-    return slim_match_pairs(ranked(tok_l),
-                            None if same_relation else ranked(tok_r),
-                            cfg, heavy_ref, same_relation,
-                            size_bytes_hint=size_hint)
 
 
 def _empty_key_sets(cfg, tok_l, tok_r):

@@ -35,7 +35,7 @@ _LSH_EXPAND_BROADCAST_LIMIT = 20_000_000
 _M61 = (1 << 61) - 1
 
 
-def _token_hashes(tokens) -> np.ndarray:
+def _md5_hashes(tokens) -> np.ndarray:
     """Stable 64-bit hashes of tokens (md5-derived, platform independent).
 
     Vectorized through DuckDB's C md5 kernel: ``md5_number_upper(t)`` is
@@ -198,7 +198,7 @@ class MinHashStage:
             flat = vals.view(np.uint64)
             hash_lists = [flat[off[i]:off[i + 1]] for i in range(len(batch))]
         else:
-            hash_lists = [_token_hashes(shingles(t or '', self.k))
+            hash_lists = [_md5_hashes(shingles(t or '', self.k))
                           for t in batch[self.text_col].to_pylist()]
         sigs = [self.mh.signature(hs).astype(np.int64) for hs in hash_lists]
         out = pa.table({
@@ -229,7 +229,7 @@ def _shingle_hashes_batch(texts: list, k: int) -> pa.ListArray:
     sh_lists = [shingles(t or '', k) for t in texts]
     lens = np.fromiter((len(s) for s in sh_lists), np.int64, len(sh_lists))
     flat = [x for s in sh_lists for x in s]
-    h = _token_hashes(flat).view(np.int64)
+    h = _md5_hashes(flat).view(np.int64)
     off = np.concatenate(([0], np.cumsum(lens)))
     return _list_i64([np.unique(h[off[i]:off[i + 1]])
                       for i in range(len(sh_lists))])
@@ -1058,7 +1058,7 @@ def _simhash_from_hashes(hs: np.ndarray) -> int:
 
 def simhash64(text: str, k: int = 2) -> int:
     """64-bit simhash over word k-gram shingle hashes."""
-    return _simhash_from_hashes(_token_hashes(shingles(text, k)))
+    return _simhash_from_hashes(_md5_hashes(shingles(text, k)))
 
 
 class SimHashStage:
@@ -1074,7 +1074,7 @@ class SimHashStage:
         sh_lists = [shingles(t or '', self.k) for t in texts]
         lens = np.fromiter((len(s) for s in sh_lists), np.int64, n)
         flat = [x for s in sh_lists for x in s]
-        hs = _token_hashes(flat)
+        hs = _md5_hashes(flat)
         vals = np.zeros(n, np.uint64)
         if len(hs):
             bits = ((hs[:, None] >> _BIT_SHIFTS[None, :]) & np.uint64(1)) \

@@ -39,14 +39,13 @@ the Dataset pipeline runs unchanged.  Tests pin either route through the
 row cap (0 or 2**62).  ``SSJ_LOCAL_MAX_BYTES`` is the library's one
 environment knob, read in ``_local_byte_cap`` and nowhere else.
 
-Output parity: candidate recall is guaranteed for ANY consistent global
-token order by prefix-filter theory (verification is exact), so set
-measure joins break count ties by token hash, as the Dataset route's
-``fused_rank_lookup`` does; EDIT_DISTANCE joins — whose approximate recall
-DOES depend on the order — and the candidates modes, whose output IS the
-order-dependent candidate set, break them by token bytes, the
-(count asc, token asc) ordering of the Dataset route's
-``make_rank_lookup`` (``postings.dictionary_ranks``).
+Output parity: both routes rank with ``postings.dictionary_ranks`` and
+break count ties as ``postings.hash_tie`` picks — by token hash for set
+measure joins (candidate recall holds for ANY consistent global token
+order by prefix-filter theory, and verification is exact), by token bytes
+(the reference's order) for EDIT_DISTANCE joins, whose approximate recall
+DOES depend on the order, and for the candidates modes, whose output IS
+the order-dependent candidate set.
 """
 
 from __future__ import annotations
@@ -62,7 +61,8 @@ import ray
 
 from ..core.comp_ops import COMP_OP_MAP
 from ..state.session import session_cpus
-from .postings import MAX_GRID, _heavy_from_rc, dictionary_ranks, rank_rows
+from .postings import (MAX_GRID, _duck_hashes, _heavy_from_rc,
+                       dictionary_ranks, hash_tie, rank_rows)
 from .slimjoin import (BroadcastVerify, SigStage, SlimPostingsStage,
                        _fold_tsig, _np_candidates, _pairs_frame)
 from .tokenize import token_ids
@@ -192,12 +192,10 @@ def _local_empties(cfg, ranked_l: pa.Table, ranked_r: pa.Table) -> dict:
 def _local_lut(dictionary: pa.Array, df: np.ndarray, cfg) -> tuple:
     """Vocabulary + ordering artifact over the one token dictionary of both
     sides → (rank of each token id, heavy-token table of the ids with
-    ``df >= cfg.salt_df_threshold``).  Set-measure joins use the hash
-    tie-break (any consistent order is exact under verification);
-    EDIT_DISTANCE joins and the candidates modes keep the reference's
-    (count, token) order, which their output depends on."""
-    rank = dictionary_ranks(dictionary, df, by_hash=cfg.mode == 'join'
-                            and cfg.sim_type != 'EDIT_DISTANCE')
+    ``df >= cfg.salt_df_threshold``), equal counts ordered as
+    ``hash_tie`` picks."""
+    rank = dictionary_ranks(dictionary, df, _duck_hashes(dictionary)
+                            if hash_tie(cfg) else None)
     hot = np.flatnonzero(df >= cfg.salt_df_threshold)
     heavy = (_heavy_from_rc(np.stack([rank[hot], df[hot]]),
                             cfg.salt_df_threshold, MAX_GRID)

@@ -3,18 +3,21 @@ join stages share.
 
 The ordering artifact is the reference's global token order
 (``utils/token_ordering.py:24-42``: rarest first, ties by token) built once
-per join as a hash -> rank lookup (``make_rank_lookup``, or the fused
-one-pass ``fused_rank_lookup`` for hash-tie set-measure joins), together
-with the heavy-token table: tokens whose document frequency reaches
-``salt_df_threshold`` get a g x g salting grid
-(``slimjoin.SlimPostingsStage``).  ``RankPrefixStage`` maps each record's
-tokens to ascending ranks and computes its prefix length.  The local route
-builds the same rows from int token ids instead: ``dictionary_ranks``
-orders its one token dictionary and ``rank_rows`` (which
-``RankPrefixStage`` ends in too) sorts each row's ranks.  The postings
-themselves are built from the deduplicated signature table by
+per join as a hash -> rank lookup, together with the heavy-token table:
+tokens whose document frequency reaches ``salt_df_threshold`` get a g x g
+salting grid (``slimjoin.SlimPostingsStage``).  Both routes rank with ONE
+sort of a token dictionary, ``dictionary_ranks``: the local route over the
+dictionary of its int token ids, the Dataset route's one vocabulary build,
+``fused_rank_lookup``, over each token-hash range of the per-block
+combiner partials (``_vocab_shard``, no DuckDB).  ``hash_tie`` picks the
+order of equal counts for both.  ``RankPrefixStage`` maps each record's
+tokens to ascending ranks and computes its prefix length; the local route
+builds the same rows from int ids, and both end in ``rank_rows``.  The
+postings themselves are built from the deduplicated signature table by
 ``slimjoin.SlimPostingsStage`` for every join and every ``filter_tables``
-candidates mode.
+candidates mode.  ``make_rank_lookup`` and ``heavy_token_table`` (over
+``tokenize.token_frequencies``) are the string-path form of the same
+artifact, kept as the tests' oracle; no route calls them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..core import bounds
-from ..state.session import cpu_request, session_cpus
+from ..state.session import session_cpus
 
 KNUTH = np.uint64(2654435761)
 # hard cap on heavy-token grid size (every heavy builder clamps g to this);
@@ -89,7 +92,7 @@ def _lev_many(l_strings, r_strings):
     return out
 
 
-def _token_hashes(values: pa.Array) -> np.ndarray:
+def _duck_hashes(values: pa.Array) -> np.ndarray:
     """Deterministic vectorized 64-bit string hashes via DuckDB's C kernel
     (no per-token Python boxing)."""
     con = _duck()
@@ -101,12 +104,10 @@ def _token_hashes(values: pa.Array) -> np.ndarray:
 
 
 def make_rank_lookup(freq_table: pa.Table) -> dict:
-    """Token→rank lookup built ONCE on the driver as two numpy arrays
-    (sorted token hashes + the rank at each hash) — numpy payloads live
-    zero-copy in the object store, so every worker on a node shares one
-    mmapped copy and per-batch mapping is hash + binary search, with no
-    per-worker index build or per-worker vocabulary memory.  Rank semantics:
-    1 = rarest, ties by token (``utils/token_ordering.py:24-42``).
+    """The ordering artifact from a (token, count) table, on the calling
+    process — the string-path oracle of ``fused_rank_lookup``'s token-tie
+    build: two numpy arrays, the sorted token hashes and the rank at each
+    hash, rank 1 = rarest, ties by token (``utils/token_ordering.py:24-42``).
 
     A 64-bit hash collision inside the vocabulary (p ≈ |V|²/2⁶⁴) would merge
     two tokens' ranks; it is detected here and falls back to carrying the
@@ -114,17 +115,8 @@ def make_rank_lookup(freq_table: pa.Table) -> dict:
     n = len(freq_table)
     if n == 0:
         return {'hashes': np.empty(0, np.uint64), 'ranks': np.empty(0, np.int32)}
-    # driver-side build over the whole vocabulary: unlike the per-worker
-    # kernel connections (pinned to 1 thread), this one may use multiple
-    # cores — the rank sort over multi-million-token vocabularies is a
-    # serial-floor component of every join otherwise.  Thread count is
-    # capped at the RAY CPU budget so a num_cpus=8 session doesn't borrow
-    # the whole box (keeps the two-level scaling measurement honest).
     import duckdb
-    import ray
     con = duckdb.connect()
-    if ray.is_initialized():
-        con.execute(f'SET threads TO {max(1, session_cpus())}')
     con.register('t_vocab', freq_table)
     # plain ORDER BY (parallel radix sort) + arange ranks — ~6x faster than
     # the row_number() window over multi-million-token vocabularies
@@ -142,17 +134,17 @@ def make_rank_lookup(freq_table: pa.Table) -> dict:
 
 
 def dictionary_ranks(dictionary: pa.Array, df: np.ndarray,
-                     by_hash: bool) -> np.ndarray:
+                     hashes: np.ndarray | None = None) -> np.ndarray:
     """Rank (1 = rarest) of every entry of a token dictionary, from ONE
     sort of the distinct tokens: ascending ``df``, ties by the token's
-    bytes — ``make_rank_lookup``'s DuckDB ``ORDER BY count, token`` — or,
-    ``by_hash``, by its 64-bit hash, ``fused_rank_lookup``'s order.  Equal
-    hashes stay in dictionary order: the ranks index ids, not hashes, so a
-    collision cannot merge two tokens."""
+    bytes (the reference's order, ``make_rank_lookup``'s DuckDB
+    ``ORDER BY count, token``) or, given ``hashes`` (each entry's 64-bit
+    token hash), by hash.  Equal hashes stay in dictionary order: the ranks
+    index ids, not hashes, so a collision cannot merge two tokens."""
     if len(df) == 0:
         return np.empty(0, np.int64)
-    if by_hash:
-        order = np.lexsort((_token_hashes(dictionary), df))
+    if hashes is not None:
+        order = np.lexsort((hashes, df))
     else:
         by_token = pc.sort_indices(dictionary).to_numpy()
         order = by_token[np.argsort(df[by_token], kind='stable')]
@@ -161,69 +153,32 @@ def dictionary_ranks(dictionary: pa.Array, df: np.ndarray,
     return rank
 
 
-def _fused_rank_build(salt_df_threshold, max_grid, threads, *blocks):
-    """Remote body for ``fused_rank_lookup``: concat the combiner partial
-    blocks (zero-copy object-store reads) and run one DuckDB hash aggregate
-    + radix sort.  Returns (lut, heavy, collision_flag); the lut never
-    touches the driver — callers pass the returned object REF to the rank
-    stage."""
-    import duckdb
-    parts = []
-    for t in blocks:
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        if len(t) and 'token' in t.column_names:
-            parts.append(t)
-    if not parts:
-        return ({'hashes': np.empty(0, np.uint64),
-                 'ranks': np.empty(0, np.int32)}, {}, False, 0)
-    merged = pa.concat_tables(parts)
-    con = duckdb.connect()
-    con.execute(f'SET threads TO {max(1, int(threads))}')
-    con.register('t_partials', merged)
-    con.execute('CREATE TEMP TABLE t_o1 AS '
-                'SELECT hash(token) AS h, sum(partial) AS c '
-                'FROM t_partials GROUP BY token '
-                'ORDER BY c, hash(token)')
-    res = con.execute('SELECT h, CAST(rowid + 1 AS INTEGER) AS rnk '
-                      'FROM t_o1 ORDER BY h').arrow()
-    hot = con.execute(
-        'SELECT CAST(rowid + 1 AS BIGINT) AS rnk, CAST(c AS BIGINT) AS c '
-        f'FROM t_o1 WHERE c >= {int(salt_df_threshold)}').arrow()
-    # total token OCCURRENCES across the corpus = exact length of the
-    # broadcast signature table's int32 rank_flat payload — the gate
-    # between the broadcast and distributed join regimes keys on this,
-    # not on the (much larger) tokenized string bytes
-    tot = con.execute('SELECT CAST(sum(c) AS BIGINT) FROM t_o1').fetchone()[0]
-    con.close()
-    sh = res['h'].to_numpy().astype(np.uint64)
-    rnk = res['rnk'].to_numpy().astype(np.int32)
-    n = len(sh)
-    if n > 1 and bool((sh[1:] == sh[:-1]).any()):  # pragma: no cover
-        return None, None, True, 0
-    heavy: dict = {}
-    for hidx, (rk, c) in enumerate(zip(hot['rnk'].to_pylist(),
-                                       hot['c'].to_pylist())):
-        g = int(min(max_grid,
-                    max(2, round((c / salt_df_threshold) ** 0.5) + 1)))
-        heavy[int(rk)] = (hidx, g)
-    return {'hashes': sh, 'ranks': rnk}, heavy, False, int(tot or 0)
+def hash_tie(cfg) -> bool:
+    """Whether a join orders equal-df tokens by token hash: set-measure
+    joins may (prefix-filter recall holds under ANY consistent order and
+    verification is exact), EDIT_DISTANCE joins — whose approximate recall
+    depends on the order — and the candidates modes, whose output IS the
+    order-dependent candidate set, keep the reference's token order."""
+    return cfg.mode == 'join' and cfg.sim_type != 'EDIT_DISTANCE'
 
 
-def _vocab_shard(shard: int, nshards: int, *blocks):
-    """Sharded vocabulary build, phase A: aggregate the token-hash range
-    ``hash >> shift == shard`` of the combiner partials.  Returns, ordered
-    by hash within the shard: (hashes, counts, li) where li is the token's
-    index within its count group in (count, hash) order — plus the shard's
-    count-value histogram (cv, cf), a collision flag, and the occurrence
-    total.  Hash-range sharding makes the within-count cross-shard order
-    equal the global hash order, so stitching preserves the exact
-    (count asc, token-hash asc) rank semantics of the single-task build."""
-    import duckdb
+def _vocab_shard(shard: int, nshards: int, by_hash: bool, *blocks):
+    """The vocabulary build's body over the token-hash range
+    ``hash >> shift == shard`` of the combiner partials (all of them when
+    ``nshards`` is 1): one ``pc.dictionary_encode`` of the range's tokens,
+    one ``np.bincount`` of their partial counts, one ``dictionary_ranks``
+    sort.  Returns (piece, meta): piece = (hashes, counts, li, tokens),
+    ordered by hash, li the token's index within its count group in the
+    shard's (count, tie) order and tokens the range's dictionary in rank
+    order, carried only on a hash collision; meta = the count-value
+    histogram (cv, cf), the collision flag and the occurrence total.
+    Hash-range sharding makes the within-count cross-shard order equal the
+    global hash order, so stitching K > 1 hash-tie pieces gives the exact
+    (count asc, token-hash asc) ranks of one shard."""
     shift = 64 - max(1, (int(nshards) - 1).bit_length())
     lo = np.uint64(int(shard) << shift)
     hi = np.uint64((int(shard) + 1) << shift) if shard + 1 < nshards else None
-    parts = []
+    toks, parts, hs = [], [], []
     for t in blocks:
         if not isinstance(t, pa.Table):
             t = pa.Table.from_pandas(t, preserve_index=False)
@@ -231,58 +186,56 @@ def _vocab_shard(shard: int, nshards: int, *blocks):
             continue
         # blocks are hash-sorted by the combiner: the shard's range is a
         # zero-copy binary-search slice, not a scan
-        hcol = t['h'].to_numpy(zero_copy_only=False)
+        hcol = t['h'].to_numpy()
         a = int(np.searchsorted(hcol, lo, 'left'))
         b = int(np.searchsorted(hcol, hi, 'left')) if hi is not None \
             else len(hcol)
         if b > a:
-            parts.append(t.slice(a, b - a))
-    empty = (np.empty(0, np.uint64), np.empty(0, np.int64),
-             np.empty(0, np.int64), np.empty(0, np.int64),
-             np.empty(0, np.int64), False, 0)
-    if not parts:
-        return empty
-    merged = pa.concat_tables(parts)
-    con = duckdb.connect()
-    con.execute('SET threads TO 1')  # matches the task's num_cpus=1
-    con.register('t_partials', merged)
-    res = con.execute("""
-        SELECT any_value(h) AS h, sum(partial) AS c
-        FROM t_partials GROUP BY token""").arrow()
-    con.close()
-    if len(res) == 0:
-        return empty
-    h = res['h'].to_numpy().astype(np.uint64)
-    c = res['c'].to_numpy().astype(np.int64)
-    order = np.lexsort((h, c))
-    h_s, c_s = h[order], c[order]
-    # duplicate hash across DISTINCT tokens (counts were grouped by token,
-    # so equal adjacent hashes after the sort mean a real collision)
+            toks.extend(t['token'].slice(a, b - a).chunks)
+            parts.append(t['partial'].slice(a, b - a).to_numpy())
+            hs.append(hcol[a:b])
+    if not toks:
+        return ((np.empty(0, np.uint64), np.empty(0, np.int64),
+                 np.empty(0, np.int64), None),
+                (np.empty(0, np.int64), np.empty(0, np.int64), False, 0))
+    enc = pc.dictionary_encode(pa.concat_arrays(toks))
+    ids = enc.indices.to_numpy()
+    partial = np.concatenate(parts)
+    # float64 weights sum counts exactly below 2^53 occurrences
+    c = np.bincount(ids, weights=partial,
+                    minlength=len(enc.dictionary)).astype(np.int64)
+    h = np.empty(len(c), np.uint64)
+    h[ids] = np.concatenate(hs)
     hh = np.sort(h)
+    # equal hashes of DISTINCT dictionary entries: a real collision
     coll = bool(len(hh) > 1 and (hh[1:] == hh[:-1]).any())
+    order = np.argsort(dictionary_ranks(enc.dictionary, c,
+                                        h if by_hash else None))
+    h_s, c_s = h[order], c[order]
     firstc = np.concatenate(([True], c_s[1:] != c_s[:-1]))
     starts = np.where(firstc, np.arange(len(c_s)), 0)
     li = np.arange(len(c_s)) - np.maximum.accumulate(starts)
-    cv, cf64 = np.unique(c_s, return_counts=True)
+    cv, cf = np.unique(c_s, return_counts=True)
     oh = np.argsort(h_s, kind='stable')
-    return (h_s[oh], c_s[oh], li[oh], cv, cf64.astype(np.int64),
-            coll, int(c.sum()))
+    tokens = enc.dictionary.take(pa.array(order)) if coll else None
+    return ((h_s[oh], c_s[oh], li[oh], tokens),
+            (cv, cf.astype(np.int64), coll, int(partial.sum())))
 
 
-def _vocab_offsets(pieces):
+def _vocab_offsets(metas):
     """Global rank offsets from the per-shard count-value histograms.
     rank(token) = 1 + base(count) + prefix(shard, count) + li, where base
     is the exclusive total below the count value and prefix the same-count
     mass in lower hash ranges (hash-contiguous shards, so within-count
     cross-shard order == global hash order)."""
-    K = len(pieces)
-    all_cv = np.unique(np.concatenate([p[3] for p in pieces])) \
-        if pieces else np.empty(0, np.int64)
+    K = len(metas)
+    all_cv = np.unique(np.concatenate([m[0] for m in metas])) \
+        if metas else np.empty(0, np.int64)
     ncv = len(all_cv)
     f = np.zeros((K, ncv), dtype=np.int64)
-    for s, p in enumerate(pieces):
-        if len(p[3]):
-            f[s, np.searchsorted(all_cv, p[3])] = p[4]
+    for s, m in enumerate(metas):
+        if len(m[0]):
+            f[s, np.searchsorted(all_cv, m[0])] = m[1]
     base = np.concatenate(([0], np.cumsum(f.sum(axis=0))[:-1]))
     prefix = np.vstack([np.zeros(ncv, np.int64),
                         np.cumsum(f, axis=0)[:-1]]) if K else f
@@ -328,35 +281,53 @@ def _vocab_concat(salt_df_threshold, max_grid, *ranked):
     return lut, heavy
 
 
-def _vocab_stitch(salt_df_threshold, max_grid, *pieces):
-    """In-process composition of offsets -> rank pieces -> concat; the
-    reference semantics of the distributed three-round flow in
-    ``fused_rank_lookup`` (and the form the unit test pins)."""
-    all_cv, base, prefix = _vocab_offsets(pieces)
-    ranked = [_vocab_rank_piece(all_cv, base, prefix[s], salt_df_threshold, p)
-              for s, p in enumerate(pieces)]
+def _vocab_stitch(salt_df_threshold, max_grid, *shards):
+    """In-process composition of offsets -> rank pieces -> concat over
+    ``_vocab_shard``'s (piece, meta) pairs: the semantics of the
+    distributed three-round flow in ``fused_rank_lookup``.  Returns
+    (lut, heavy, collision_flag, total_token_occurrences)."""
+    metas = [m for _, m in shards]
+    all_cv, base, prefix = _vocab_offsets(metas)
+    ranked = [_vocab_rank_piece(all_cv, base, prefix[s], salt_df_threshold,
+                                p) for s, (p, _) in enumerate(shards)]
     lut, heavy = _vocab_concat(salt_df_threshold, max_grid, *ranked)
-    coll = any(bool(p[5]) for p in pieces)
-    tot = sum(int(p[6]) for p in pieces)
-    return lut, heavy, coll, int(tot)
+    return (lut, heavy, any(bool(m[2]) for m in metas),
+            sum(int(m[3]) for m in metas))
+
+
+def _vocab_build(salt_df_threshold, max_grid, by_hash, *blocks):
+    """The K = 1 build, one task: the shard body over every partial, then
+    the stitch → (lut, heavy, total_token_occurrences).  On a 64-bit hash
+    collision inside the vocabulary (p ≈ |V|²/2⁶⁴) the lut carries the
+    rank-ordered tokens themselves instead of hashes (an exact per-worker
+    pandas Index in ``map_tokens_to_ranks``), as ``make_rank_lookup``
+    does."""
+    shard = _vocab_shard(0, 1, by_hash, *blocks)
+    lut, heavy, coll, tot = _vocab_stitch(salt_df_threshold, max_grid, shard)
+    if coll:
+        lut = {'tokens': shard[0][3]}
+    return lut, heavy, tot
 
 
 # sharded vocabulary build kicks in above this partial-row total; below it
-# a single merge task is faster than K-task scheduling
+# a single build task is faster than K-task scheduling.  Measured on the
+# former DuckDB merge: the single merge task was 57% of the flagship
+# matches stage at 1.5M records
 _VOCAB_SHARD_MIN_ROWS = 2_000_000
 
 
 def fused_rank_lookup(tokenized, salt_df_threshold: int,
-                      max_grid: int = 16) -> tuple:
-    """One-pass ordering artifact for the hash-tie join path: per-block
-    combiner partials feed a single DuckDB parallel hash aggregate +
-    radix sort (count asc, token-hash tie) that yields the rank lookup AND
-    the heavy-token table — replaces the
-    token_frequencies → make_rank_lookup → heavy_token_table chain
-    (three serial vocabulary passes) with one.  The merge runs in a Ray
-    task over the partial-block REFS (the driver never streams the
-    partials).  Returns (lut_ref: ObjectRef, heavy: dict,
-    total_token_occurrences: int — the broadcast-gate size driver)."""
+                      max_grid: int = MAX_GRID, by_hash: bool = True) -> tuple:
+    """The Dataset route's one vocabulary build: per-block combiner
+    partials (``partial_token_counts_hashed``, fused with tokenize) feed
+    ``_vocab_shard`` tasks that yield the rank lookup AND the heavy-token
+    table, over the partial-block REFS — the driver never streams the
+    partials nor gets the lut.  ``by_hash`` picks the tie of equal counts
+    (``hash_tie``): token hash, or the reference's token order, which
+    always builds in one task (K = 1) since hash-range pieces add up to
+    exact global ranks only under the hash tie.  Returns (lut_ref:
+    ObjectRef, heavy: dict, total_token_occurrences: int — the
+    broadcast-gate size driver)."""
     import ray
 
     from .tokenize import partial_token_counts_hashed
@@ -366,51 +337,34 @@ def fused_rank_lookup(tokenized, salt_df_threshold: int,
     refs = []
     for bundle in partial.iter_internal_ref_bundles():
         refs.extend(bundle.block_refs)
-    if not refs:
-        return (ray.put({'hashes': np.empty(0, np.uint64),
-                         'ranks': np.empty(0, np.int32)}), {}, 0)
-    cpus = session_cpus()
-    if partial.count() >= _VOCAB_SHARD_MIN_ROWS:
-        # three-round sharded build (the single merge task was 57% of the
-        # flagship matches stage at 1.5M records): K parallel hash-range
-        # slice+aggregate tasks; a tiny driver-side histogram exchange; K
-        # parallel rank-assignment tasks; one pure-concat stitch.  The
-        # driver reads only the small histogram fields of each piece
-        # (numpy payloads resolve as zero-copy plasma views).
-        nshards = 1 << max(2, min(5, cpus.bit_length() - 1))
-        shard_task = ray.remote(num_cpus=1)(_vocab_shard)
-        piece_refs = [shard_task.remote(s, nshards, *refs)
+    if by_hash and partial.count() >= _VOCAB_SHARD_MIN_ROWS:
+        # three-round sharded build: K parallel hash-range slice+aggregate
+        # tasks; a tiny driver-side histogram exchange (the driver gets
+        # only each shard's meta); K parallel rank-assignment tasks; one
+        # pure-concat stitch
+        nshards = 1 << max(2, min(5, session_cpus().bit_length() - 1))
+        shard_task = ray.remote(num_cpus=1, num_returns=2)(_vocab_shard)
+        shards = [shard_task.remote(s, nshards, True, *refs)
+                  for s in range(nshards)]
+        metas = ray.get([m for _, m in shards])
+        if not any(bool(m[2]) for m in metas):
+            all_cv, base, prefix = _vocab_offsets(metas)
+            rank_task = ray.remote(num_cpus=1)(_vocab_rank_piece)
+            ranked = [rank_task.remote(all_cv, base, prefix[s],
+                                       salt_df_threshold, shards[s][0])
                       for s in range(nshards)]
-        pieces = ray.get(piece_refs)
-        coll = any(bool(p[5]) for p in pieces)
-        tot = sum(int(p[6]) for p in pieces)
-        all_cv, base, prefix = _vocab_offsets(pieces)
-        rank_task = ray.remote(num_cpus=1)(_vocab_rank_piece)
-        ranked_refs = [rank_task.remote(all_cv, base, prefix[s],
-                                        salt_df_threshold, piece_refs[s])
-                       for s in range(nshards)]
-        concat_task = ray.remote(num_cpus=1, num_returns=2)(_vocab_concat)
-        lut_ref, heavy_ref = concat_task.remote(salt_df_threshold, max_grid,
-                                                *ranked_refs)
-        heavy = ray.get(heavy_ref)
-    else:
-        # the merge's DuckDB runs as many threads as the task holds CPUs
-        ncpu = cpu_request(max(2, min(8, cpus // 2)))
-        builder = ray.remote(num_cpus=ncpu, num_returns=4)(_fused_rank_build)
-        lut_ref, heavy_ref, coll_ref, tot_ref = builder.remote(
-            salt_df_threshold, max_grid, ncpu, *refs)
-        heavy = ray.get(heavy_ref)
-        tot = int(ray.get(tot_ref))
-        coll = bool(ray.get(coll_ref))
-    if coll:  # pragma: no cover
-        # vocabulary hash collision: rebuild exactly via the slow chain
-        from .tokenize import token_frequencies as _tf
-        freq = _tf(tokenized)
-        lut = make_rank_lookup(freq)
-        return (ray.put(lut),
-                heavy_token_table(freq, lut, salt_df_threshold, max_grid),
-                tot)
-    return lut_ref, heavy, tot
+            concat_task = ray.remote(num_cpus=1, num_returns=2)(_vocab_concat)
+            lut_ref, heavy_ref = concat_task.remote(salt_df_threshold,
+                                                    max_grid, *ranked)
+            return (lut_ref, ray.get(heavy_ref),
+                    sum(int(m[3]) for m in metas))
+        # a vocabulary hash collision: the one-task build carries the
+        # exact token lut
+    build = ray.remote(num_cpus=1, num_returns=3)(_vocab_build)
+    lut_ref, heavy_ref, tot_ref = build.remote(salt_df_threshold, max_grid,
+                                               by_hash, *refs)
+    heavy, tot = ray.get([heavy_ref, tot_ref])
+    return lut_ref, heavy, int(tot)
 
 
 # Per-worker-process cache for the exact-fallback pandas Index (collision
@@ -418,13 +372,16 @@ def fused_rank_lookup(tokenized, salt_df_threshold: int,
 _ORD_INDEX_CACHE: dict = {}
 
 
-def _fallback_index(ref_key, tokens_arr):  # pragma: no cover
-    idx = _ORD_INDEX_CACHE.get(ref_key)
+def _fallback_index(ref_key, tokens_arr):
+    """The token lut's pandas Index, cached per lut ref (an in-process lut,
+    ``ref_key`` '', is not cached)."""
+    idx = _ORD_INDEX_CACHE.get(ref_key) if ref_key else None
     if idx is None:
         import pandas as pd
         idx = pd.Index(tokens_arr.to_pandas())
-        _ORD_INDEX_CACHE.clear()
-        _ORD_INDEX_CACHE[ref_key] = idx
+        if ref_key:
+            _ORD_INDEX_CACHE.clear()
+            _ORD_INDEX_CACHE[ref_key] = idx
     return idx
 
 
@@ -435,7 +392,7 @@ def map_tokens_to_ranks(lut: dict, token_values: pa.Array,
         sh, ranks = lut['hashes'], lut['ranks']
         if len(sh) == 0 or len(token_values) == 0:
             return np.zeros(len(token_values), dtype=np.int64)
-        th = _token_hashes(token_values)
+        th = _duck_hashes(token_values)
         # dedup + sort the probes first: token batches repeat heavily, and
         # sorted probes walk the (DRAM-resident, multi-million-entry) LUT
         # monotonically instead of issuing a random ~24-miss binary search
@@ -444,7 +401,7 @@ def map_tokens_to_ranks(lut: dict, token_values: pa.Array,
         pos = np.minimum(np.searchsorted(sh, uh), len(sh) - 1)
         ranks_u = np.where(sh[pos] == uh, ranks[pos], 0).astype(np.int64)
         return ranks_u[inv]
-    idx = _fallback_index(ref_key, lut['tokens'])  # pragma: no cover
+    idx = _fallback_index(ref_key, lut['tokens'])
     return (idx.get_indexer(token_values.to_pandas()) + 1).astype(np.int64)
 
 
@@ -479,8 +436,8 @@ def rank_rows(key, sizes: np.ndarray, row_id: np.ndarray,
 class RankPrefixStage:
     """(key, tokens[, s]) → (key, sz, ranks, plen[, s]).
 
-    The ordering artifact (``make_rank_lookup`` / ``fused_rank_lookup``'s
-    sorted token hashes and their ranks) resolves from the object store
+    The ordering artifact (``fused_rank_lookup``'s sorted token hashes and
+    their ranks) resolves from the object store
     ZERO-COPY; each batch maps its tokens to ranks with one hash pass and
     one binary search over the distinct hashes (``map_tokens_to_ranks``),
     and ``rank_rows`` sorts every row's ranks with one int64 key — no
@@ -490,7 +447,7 @@ class RankPrefixStage:
 
     def __init__(self, ordering_ref, sim_type: str, threshold, qval=None,
                  keep_string: bool = False):
-        self.ordering_ref = ordering_ref  # make_rank_lookup payload (or ref)
+        self.ordering_ref = ordering_ref  # the lut (or its ref)
         self.sim_type = sim_type
         self.threshold = threshold
         self.qval = qval

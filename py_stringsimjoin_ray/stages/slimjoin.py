@@ -56,7 +56,7 @@ from ..core import bounds
 from ..core.comp_ops import COMP_OP_MAP
 from ..state.broadcast import _BROADCAST_GATE_FLOOR
 from ..state.session import block_count
-from .postings import KNUTH, MAX_GRID_AREA, _lev_many, _token_hashes
+from .postings import KNUTH, MAX_GRID_AREA, _lev_many, _duck_hashes
 
 _MASK63 = np.uint64((1 << 63) - 1)
 
@@ -98,7 +98,7 @@ class SigStage:
         sz = batch['sz'].to_numpy().astype(np.uint64)
         sig = (sig ^ (sz * np.uint64(0x9E3779B97F4A7C15))) * self._P
         if self.hash_string:
-            sig ^= _token_hashes(batch['s'].combine_chunks())
+            sig ^= _duck_hashes(batch['s'].combine_chunks())
         sig &= _MASK63
         return batch.append_column('sig', pa.array(sig.astype(np.int64)))
 

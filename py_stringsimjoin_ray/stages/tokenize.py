@@ -113,44 +113,26 @@ def partial_token_counts(batch: pa.Table) -> pa.Table:
 def partial_token_counts_hashed(batch: pa.Table) -> pa.Table:
     """``partial_token_counts`` plus the token's 64-bit hash, computed ONCE
     here (parallel, fused with tokenize), with rows SORTED by hash — the
-    sharded vocabulary build then takes its hash range from each block as
-    a binary-search slice (zero scan amplification across shards)."""
+    vocabulary build then takes its hash range from each block as a
+    binary-search slice (zero scan amplification across shards)."""
     import numpy as np
 
-    from .postings import _token_hashes
+    from .postings import _duck_hashes
     t = partial_token_counts(batch)
     if len(t) == 0:
         return t.append_column('h', pa.array([], pa.uint64()))
-    h = _token_hashes(t['token'].combine_chunks())
+    h = _duck_hashes(t['token'].combine_chunks())
     order = np.argsort(h, kind='stable')
     t = t.take(pa.array(order))
     return t.append_column('h', pa.array(h[order], pa.uint64()))
 
 
-def token_partials(tokenized: ray.data.Dataset) -> ray.data.Dataset:
-    """Materialized per-block (token, partial-count) combiner outputs.
-    Row count = Σ per-block distinct tokens — the quantity the driver-merge
-    gate in the join pipeline routes on (VERDICT r4 #5)."""
-    return tokenized.map_batches(partial_token_counts,
-                                 batch_format='pyarrow',
-                                 batch_size=None).materialize()
-
-
-def token_frequencies(tokenized: ray.data.Dataset,
-                      partial: ray.data.Dataset | None = None) -> 'pa.Table':
-    """Global (token, count) table.  Per-batch combiners shrink each block to
-    its distinct tokens; the partials are merged on the DRIVER (one vectorized
-    groupby over blocks × vocab rows) — the result is vocab-sized and needed
-    on the driver anyway to build the ordering artifact, so a distributed
-    groupby here would round-trip through an all-to-all shuffle only to be
-    collected right back.  Scale note: partial volume is (num blocks ×
-    vocab); the join pipeline gates on the materialized partial row count
-    (``token_partials``) and auto-routes to the fully distributed ordering
-    (stages/dist_ordering.py) beyond it instead of collecting here."""
-    if partial is None:
-        partial = tokenized.map_batches(partial_token_counts,
-                                        batch_format='pyarrow',
-                                        batch_size=None)
+def token_frequencies(tokenized: ray.data.Dataset) -> 'pa.Table':
+    """Global (token, count) table, merged on the calling process from the
+    per-batch combiners: the string-path oracle of
+    ``postings.fused_rank_lookup``'s counts (no route calls it)."""
+    partial = tokenized.map_batches(partial_token_counts,
+                                    batch_format='pyarrow', batch_size=None)
     parts = [pa.table(b) for b in partial.iter_batches(batch_size=None,
                                                        batch_format='pyarrow')]
     merged = pa.concat_tables([p for p in parts if len(p)]) if parts else \

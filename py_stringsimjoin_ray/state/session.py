@@ -1,6 +1,5 @@
-"""What the Ray session offers the library: its CPUs, the most CPUs one
-task may ask for, and how many blocks a Dataset-route stage of a given
-row count is cut into."""
+"""What the Ray session offers the library: its CPUs, and how many blocks
+a Dataset-route stage of a given row count is cut into."""
 
 from __future__ import annotations
 
@@ -26,15 +25,6 @@ def session_cpus(default: int = 8) -> int:
     if not ray.is_initialized():
         return default
     return int(ray.cluster_resources().get('CPU', 8))
-
-
-def cpu_request(n: int) -> int:
-    """``num_cpus`` for a task that could use ``n`` CPUs: at most the CPUs
-    of the session's largest node, since Ray places a task on one node and
-    keeps a task that asks for more than any node has pending forever."""
-    node = max((x['Resources'].get('CPU', 0) for x in ray.nodes()
-                if x['Alive']), default=1)
-    return max(1, min(int(n), int(node)))
 
 
 def block_count(rows: int, cpus: int | None = None) -> int:

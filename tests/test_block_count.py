@@ -62,11 +62,7 @@ def test_linkage_dist_corpus_at_one_cpu():
 
 
 def test_session_cpus_and_cap(ray_session):
-    cpus = session.session_cpus()
-    assert cpus == 4  # tests/conftest.py
-    assert session.cpu_request(1) == 1
-    assert session.cpu_request(2) == 2
-    assert session.cpu_request(cpus + 5) == cpus
+    assert session.session_cpus() == 4  # tests/conftest.py
 
 
 # forced to one block, and to many (the read of the ~100-file corpus

@@ -868,7 +868,7 @@ def test_ann_string_ids_rejected_with_guidance(ray_session):
         on it)."""
         import hashlib
         toks = ['hello world', '', 'café ünïcode', 'a' * 100, 'x y z']
-        got = dedup._token_hashes(toks)
+        got = dedup._md5_hashes(toks)
         exp = np.array([int.from_bytes(
             hashlib.md5(t.encode()).digest()[:8], 'little')
             for t in toks], np.uint64)

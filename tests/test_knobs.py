@@ -98,39 +98,19 @@ def test_no_library_module_writes_the_environment():
     assert not writes, writes
 
 
-def _is_cap(node) -> bool:
-    """A call of ``state/session.cpu_request``."""
-    f = getattr(node, 'func', None)
-    return isinstance(node, ast.Call) and (
-        getattr(f, 'id', None) == 'cpu_request'
-        or getattr(f, 'attr', None) == 'cpu_request')
-
-
 def test_no_cpu_request_above_the_session():
-    """Every ``num_cpus=`` keyword is a constant of at most 1 or
-    ``cpu_request``'s result, directly or through a name bound to nothing
-    else in its module: Ray keeps a task that asks for more CPUs than any
-    node of the session has pending forever."""
+    """Every ``num_cpus=`` keyword is a constant of at most 1: Ray keeps a
+    task that asks for more CPUs than any node of the session has pending
+    forever, and no library task uses a second CPU."""
     bad = []
     for path, tree in _library_trees():
-        bound: dict = {}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                for t in getattr(node, 'targets', None) or [node.target]:
-                    if isinstance(t, ast.Name):
-                        bound.setdefault(t.id, []).append(
-                            isinstance(node, ast.Assign)
-                            and _is_cap(node.value))
         for node in ast.walk(tree):
             if not (isinstance(node, ast.keyword)
                     and node.arg == 'num_cpus'):
                 continue
             v = node.value
-            if (isinstance(v, ast.Constant)
+            if not (isinstance(v, ast.Constant)
                     and isinstance(v.value, (int, float))
-                    and v.value <= 1) or _is_cap(v) \
-                    or (isinstance(v, ast.Name)
-                        and all(bound.get(v.id, [False]))):
-                continue
-            bad.append(f'{path}:{v.lineno}')
+                    and v.value <= 1):
+                bad.append(f'{path}:{v.lineno}')
     assert not bad, bad

@@ -93,41 +93,6 @@ def test_edit_distance_unicode_char_based():
     assert out['_sim_score'].dtype == np.int64
 
 
-def test_sharded_vocab_build_matches_single_task():
-    """The hash-range-sharded vocabulary build must reproduce the single
-    merge task's LUT exactly: same (count asc, token-hash asc) ranks,
-    same heavy table, same occurrence total."""
-    import numpy as np
-    import pyarrow as pa
-
-    from py_stringsimjoin_ray.stages.postings import (_fused_rank_build,
-                                                      _token_hashes,
-                                                      _vocab_shard,
-                                                      _vocab_stitch)
-    rng = np.random.default_rng(7)
-    toks = np.array([f'tok{i}' for i in range(20000)])
-    blocks = []
-    for _ in range(6):
-        sel = rng.random(len(toks)) < 0.6
-        t = toks[sel]
-        p = rng.integers(1, 12, len(t))
-        tok_arr = pa.array(t)
-        h = _token_hashes(tok_arr)
-        order = np.argsort(h, kind='stable')  # combiner contract: h-sorted
-        blocks.append(pa.table({'token': tok_arr.take(pa.array(order)),
-                                'partial': pa.array(p[order]),
-                                'h': pa.array(h[order], pa.uint64())}))
-    lut1, heavy1, coll1, tot1 = _fused_rank_build(40, 16, 2, *blocks)
-    K = 8
-    pieces = [_vocab_shard(s, K, *blocks) for s in range(K)]
-    lut2, heavy2, coll2, tot2 = _vocab_stitch(40, 16, *pieces)
-    o1 = np.argsort(lut1['hashes'])
-    o2 = np.argsort(lut2['hashes'])
-    assert (lut1['hashes'][o1] == lut2['hashes'][o2]).all()
-    assert (lut1['ranks'][o1] == lut2['ranks'][o2]).all()
-    assert heavy1 == heavy2 and tot1 == tot2 and not (coll1 or coll2)
-
-
 def test_np_candidates_matches_bruteforce():
     """The eligibility-pruned triangle kernel must emit exactly the pairs a
     naive per-group double loop emits under the same sound filters (size

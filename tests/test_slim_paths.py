@@ -9,7 +9,6 @@ import pytest
 
 from py_stringsimjoin_ray import (QgramTokenizer, WhitespaceTokenizer,
                                   edit_distance_join, jaccard_join)
-from py_stringsimjoin_ray.pipelines import join
 from py_stringsimjoin_ray.stages import localjoin, slimjoin
 
 
@@ -73,27 +72,15 @@ def test_broadcast_salted_self_join_qgram(monkeypatch):
     assert _pairs(base, cols) == _pairs(salted, cols)
 
 
-def test_distributed_ordering_matches_default(parts, monkeypatch):
-    """VERDICT r1 #4: the fully distributed ordering/rank path (vocabulary
-    never on the driver) must produce the identical pair set."""
-    tok = WhitespaceTokenizer(return_set=True)
-    base = jaccard_join(parts, parts, 'p_partkey', 'p_partkey', 'p_name',
-                        'p_name', tok, 0.5)
-    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
-    monkeypatch.setattr(join, '_DISTRIBUTED_ORDERING', True)
-    dist = jaccard_join(parts, parts, 'p_partkey', 'p_partkey', 'p_name',
-                        'p_name', tok, 0.5)
-    assert _pairs(base) == _pairs(dist)
-
-
-def test_distributed_ordering_with_salting_and_strings(monkeypatch):
+def test_dataset_route_with_salting_and_strings(monkeypatch):
+    """Heavy-token salting on the Dataset route (the vocabulary's heavy
+    table feeding the salted postings) keeps the local route's pairs."""
     docs = pd.read_parquet('/root/testdata/sf0.001/documents.parquet')
     docs = docs[['doc_id', 'text']].head(200).copy()
     tok = WhitespaceTokenizer(return_set=True)
     base = jaccard_join(docs, docs, 'doc_id', 'doc_id', 'text', 'text',
                         tok, 0.6, salt_df_threshold=20)
     monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
-    monkeypatch.setattr(join, '_DISTRIBUTED_ORDERING', True)
     dist = jaccard_join(docs, docs, 'doc_id', 'doc_id', 'text', 'text',
                         tok, 0.6, salt_df_threshold=20)
     cols = ('l_doc_id', 'r_doc_id', '_sim_score')
@@ -238,33 +225,6 @@ def test_sharded_path_many_shards(parts, monkeypatch):
     sharded = jaccard_join(parts, parts.copy(), 'p_partkey', 'p_partkey',
                            'p_name', 'p_name', tok, 0.5)
     assert _pairs(base) == _pairs(sharded)
-
-
-def test_ed_ordering_auto_routes_past_partial_gate(monkeypatch):
-    """VERDICT r4 #5: an EDIT_DISTANCE join whose vocabulary-partial volume
-    exceeds ``join._ORDERING_PARTIAL_GATE`` must auto-route to the distributed
-    ordering (driver never merges the partials) and still produce the
-    identical pair set."""
-    cust = pd.read_parquet('/root/testdata/sf0.001/customer.parquet')
-    cust = cust[['c_custkey', 'c_name']].head(300).copy()
-    tok = QgramTokenizer(qval=2, return_set=False)
-    from py_stringsimjoin_ray.pipelines.join import edit_distance_join
-    # exercise the gated path
-    monkeypatch.setattr(localjoin, 'DEFAULT_LOCAL_MAX_ROWS', 0)
-    base = edit_distance_join(cust, cust, 'c_custkey', 'c_custkey',
-                              'c_name', 'c_name', 2, tokenizer=tok)
-    monkeypatch.setattr(join, '_ORDERING_PARTIAL_GATE', 1)  # force it
-    import py_stringsimjoin_ray.pipelines.join as join_mod
-    took_route = []
-    orig = join_mod._dist_ordering_pairs
-    monkeypatch.setattr(join_mod, '_dist_ordering_pairs',
-                        lambda *a, **k: took_route.append(1) or orig(*a, **k))
-    routed = edit_distance_join(cust, cust, 'c_custkey', 'c_custkey',
-                                'c_name', 'c_name', 2, tokenizer=tok)
-    assert took_route, 'partial-volume gate did not engage'
-    cols = ('l_c_custkey', 'r_c_custkey', '_sim_score')
-    assert _pairs(base, cols) == _pairs(routed, cols)
-    assert len(base) > 0
 
 
 def test_sharded_path_shard_count_beyond_old_cap(parts, monkeypatch):

@@ -22,12 +22,13 @@ from py_stringsimjoin_ray.pipelines.join import _JoinConfig
 from py_stringsimjoin_ray.sources.repos_corpus import generate_repos_corpus
 from py_stringsimjoin_ray.stages import cluster, localjoin, postings, tokenize
 from py_stringsimjoin_ray.stages.postings import (RankPrefixStage,
-                                                  _fused_rank_build,
+                                                  _vocab_build,
+                                                  hash_tie,
                                                   heavy_token_table,
                                                   make_rank_lookup)
-from py_stringsimjoin_ray.stages.tokenize import (TokenizeStage,
-                                                  partial_token_counts,
-                                                  token_ids)
+from py_stringsimjoin_ray.stages.tokenize import (
+    TokenizeStage, partial_token_counts, partial_token_counts_hashed,
+    token_ids)
 from py_stringsimjoin_ray.state import manifests as mf
 
 LEFT = ['a b c a', 'b c', None, '', '   ', 'héllo wörld héllo',
@@ -105,15 +106,18 @@ def _side(values, prefix):
 
 def _string_path(sides, cfg):
     """The oracle: per-side ``TokenizeStage``, one vocabulary over both,
-    ``RankPrefixStage``.  The hash tie is the Dataset route's fused
-    vocabulary build, the token tie ``make_rank_lookup``."""
+    ``RankPrefixStage``.  The hash tie is the Dataset route's vocabulary
+    build, the token tie the string-path chain ``make_rank_lookup`` ->
+    ``heavy_token_table``."""
     toks = [TokenizeStage('id', 'v', cfg.tokenizer,
                           keep_string=cfg.keep_string)(t) for t in sides]
-    parts = [p for p in (partial_token_counts(t) for t in toks) if len(p)]
-    if cfg.mode == 'join' and cfg.sim_type != 'EDIT_DISTANCE':
-        lut, heavy, _coll, _tot = _fused_rank_build(
-            cfg.salt_df_threshold, postings.MAX_GRID, 1, *parts)
+    if hash_tie(cfg):
+        lut, heavy, _tot = _vocab_build(
+            cfg.salt_df_threshold, postings.MAX_GRID, True,
+            *[partial_token_counts_hashed(t) for t in toks])
     else:
+        parts = [p for p in (partial_token_counts(t) for t in toks)
+                 if len(p)]
         merged = pa.concat_tables(parts)
         agg = merged.group_by('token').aggregate([('partial', 'sum')])
         freq = pa.table({'token': agg['token'],
@@ -197,7 +201,7 @@ def test_no_token_strings_after_the_split(monkeypatch, linkage_corpus):
     ``_local_linkage`` run, no token string is hashed or searched past the
     dictionary and ``TokenizeStage`` never runs."""
     calls = {'map': 0, 'stage': 0, 'hashes': []}
-    orig_hashes = postings._token_hashes
+    orig_hashes = postings._duck_hashes
 
     def hashes(values):
         calls['hashes'].append(len(values))
@@ -208,7 +212,8 @@ def test_no_token_strings_after_the_split(monkeypatch, linkage_corpus):
             calls[name] += 1
             raise AssertionError(f'{name} called on the local route')
         return f
-    monkeypatch.setattr(postings, '_token_hashes', hashes)
+    monkeypatch.setattr(postings, '_duck_hashes', hashes)
+    monkeypatch.setattr(localjoin, '_duck_hashes', hashes)
     monkeypatch.setattr(postings, 'map_tokens_to_ranks', refuse('map'))
     monkeypatch.setattr(tokenize.TokenizeStage, '__call__', refuse('stage'))
 
